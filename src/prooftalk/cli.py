@@ -75,21 +75,13 @@ def cmd_validate(args) -> int:
             return doc
         diagnostics = validate_graph(doc.graph)
         for diag in diagnostics:
-            span = doc.block_spans.get(
-                f"argument:{_owning_argument(doc, diag)}")
+            span = (doc.block_spans.get(f"argument:{diag.argument}")
+                    if diag.argument is not None else None)
             line, col = (span.line, span.column) if span else (1, 1)
             print(f"{path}:{line}:{col}: {diag.severity.value}: {diag.message}")
         if any(d.severity is Severity.ERROR for d in diagnostics):
             status = EXIT_DOMAIN
     return status
-
-
-def _owning_argument(doc: markup.Document, diag) -> str:
-    # Diagnostics quote the argument id; match it back to a block span.
-    for aid in doc.graph.arguments:
-        if f"'{aid}'" in diag.message:
-            return aid
-    return ""
 
 
 def cmd_diagram(args) -> int:

@@ -7,6 +7,7 @@ returns a fresh state.  Two-participant dialogues only.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
@@ -326,16 +327,28 @@ def _unanswered_challenge(state: DialogueState) -> Optional[str]:
 
     The challenged party (the other participant, in a two-party
     dialogue) must produce an assertion within their next ANSWER_WINDOW
-    turns; a challenge with no such answer counts as unanswered.
+    turns; a challenge with no such answer counts as unanswered.  One
+    pass: each challenger's open challenges wait in issue order with the
+    count of others' replies seen when they were made.
     """
+    open_challenges: dict[str, deque[tuple[int, str, int]]] = {}
+    replies: dict[str, int] = {}
+    unanswered: list[tuple[int, str]] = []
     for i, move in enumerate(state.history):
-        if move.kind is not MoveKind.CHALLENGE:
-            continue
-        responses = [m for m in state.history[i + 1:]
-                     if m.speaker != move.speaker][:ANSWER_WINDOW]
-        if not any(m.kind is MoveKind.ASSERT for m in responses):
-            return move.subject
-    return None
+        for challenger, waiting in open_challenges.items():
+            if challenger == move.speaker or not waiting:
+                continue
+            if move.kind is MoveKind.ASSERT:
+                waiting.clear()
+                continue
+            replies[challenger] += 1
+            while waiting and replies[challenger] - waiting[0][2] == ANSWER_WINDOW:
+                unanswered.append(waiting.popleft()[:2])
+        if move.kind is MoveKind.CHALLENGE:
+            open_challenges.setdefault(move.speaker, deque()).append(
+                (i, move.subject, replies.setdefault(move.speaker, 0)))
+    unanswered.extend(w[0][:2] for w in open_challenges.values() if w)
+    return min(unanswered)[1] if unanswered else None
 
 
 def goal_achieved(state: DialogueState) -> GoalVerdict:

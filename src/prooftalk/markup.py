@@ -22,6 +22,7 @@ from .model import (
     QualifierKind,
     SlotMismatch,
     ToulminArgument,
+    _has_cycle,
 )
 from .typology import DialogueType, Stance
 
@@ -66,6 +67,7 @@ KEYWORDS = frozenset({
     "threat", "declare_shift", "close",
 })
 
+_DIGITS = frozenset("0123456789")
 _PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ",": "comma",
           ";": "semicolon"}
 
@@ -144,9 +146,9 @@ def tokenize(source: str) -> list[Token]:
                                 SourceSpan(*start_span, j + 1 - i)))
             advance(source[i:j + 1])
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", source[i:j], SourceSpan(*start_span, j - i)))
             advance(source[i:j])
@@ -161,7 +163,8 @@ def tokenize(source: str) -> list[Token]:
             advance(word)
             continue
         raise MarkupError([ParseError(
-            SourceSpan(*start_span, 1), "token", ch, "illegal character")])
+            SourceSpan(*start_span, 1), "token", ch,
+            "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
     return tokens
 
 
@@ -394,10 +397,19 @@ class _Parser:
 
         declared_type: Optional[DialogueType] = None
         order: list[str] = []
+        order_tok: Optional[Token] = None
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
         settlement: Optional[str] = None
         moves: list[Move] = []
+
+        def add_participant() -> None:
+            ident = self.expect("ident", "participant id")
+            if ident is not None:
+                if ident.value in order:
+                    self.error("fresh participant id", ident,
+                               "duplicate participant")
+                order.append(ident.value)
 
         while self.peek().kind != "rbrace":
             tok = self.peek()
@@ -413,16 +425,12 @@ class _Parser:
                     else:
                         self.error("dialogue type name", t)
             elif self.at_kw("participants"):
-                self.next()
+                order_tok = self.next()
                 if self.expect("colon"):
-                    first = self.expect("ident", "participant id")
-                    if first:
-                        order.append(first.value)
+                    add_participant()
                     while self.peek().kind == "comma":
                         self.next()
-                        ident = self.expect("ident", "participant id")
-                        if ident:
-                            order.append(ident.value)
+                        add_participant()
             elif self.at_kw("stance"):
                 self.next()
                 pid = self.expect("ident", "participant id")
@@ -481,6 +489,10 @@ class _Parser:
         if crucial is None:
             self.error("at least one 'stance' line in dialogue block", name)
             return
+        if len(order) != 2:
+            self.errors.append(ParseError(
+                (order_tok or name).span, "exactly two participants",
+                str(len(order)), "dialogues are two-party"))
         participants = tuple(
             Participant(pid,
                         Role.PROVER if i == 0 else Role.INTERLOCUTOR,
@@ -549,7 +561,6 @@ class _Parser:
                 continue
             links.add(Link(src, target, role))
         self.doc.graph.links = tuple(sorted(links))
-        from .model import _has_cycle
         if _has_cycle(self.doc.graph.links):
             anchor = self.uses[-1][3] if self.uses else SourceSpan(1, 1, 0, 1)
             self.errors.append(ParseError(

@@ -8,8 +8,10 @@ or as backing for another.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 
@@ -120,6 +122,12 @@ class Link:
     role: LinkRole
 
 
+# Sort keys giving the same order as Link's own comparisons, but compared
+# in C rather than through the generated __lt__.
+_LINK_ORDER = attrgetter("source", "target", "role")
+_LINK_SOURCE = attrgetter("source")
+
+
 @dataclass
 class ArgumentGraph:
     propositions: dict[str, Proposition] = field(default_factory=dict)
@@ -138,6 +146,7 @@ class Diagnostic:
     slot: str
     severity: Severity
     message: str
+    argument: Optional[str] = None  # the argument at fault; None graph-wide
 
 
 class CycleError(Exception):
@@ -153,7 +162,7 @@ def validate_argument(arg: ToulminArgument, graph: ArgumentGraph) -> list[Diagno
     out: list[Diagnostic] = []
 
     def err(rule, slot, message):
-        out.append(Diagnostic(rule, slot, Severity.ERROR, message))
+        out.append(Diagnostic(rule, slot, Severity.ERROR, message, arg.id))
 
     if not arg.data:
         err("missing-data", "data", f"argument '{arg.id}' has no data")
@@ -185,7 +194,7 @@ def validate_argument(arg: ToulminArgument, graph: ArgumentGraph) -> list[Diagno
         out.append(Diagnostic(
             "necessarily-with-rebuttals", "rebuttals", Severity.WARNING,
             f"argument '{arg.id}' claims necessity yet lists rebuttals; "
-            "exceptions may only exist outside the declared field"))
+            "exceptions may only exist outside the declared field", arg.id))
     return out
 
 
@@ -204,7 +213,7 @@ def validate_graph(graph: ArgumentGraph) -> list[Diagnostic]:
             out.append(Diagnostic(
                 "link-slot-mismatch", link.role.value, Severity.ERROR,
                 f"claim of '{link.source}' does not occupy the {link.role.value} "
-                f"slot of '{link.target}'"))
+                f"slot of '{link.target}'", link.target))
     if _has_cycle(graph.links):
         out.append(Diagnostic(
             "support-cycle", "links", Severity.ERROR,
@@ -221,25 +230,43 @@ def _claim_in_slot(graph: ArgumentGraph, link: Link) -> bool:
 
 
 def _has_cycle(links: tuple[Link, ...]) -> bool:
-    adjacency: dict[str, set[str]] = {}
+    """Whether the links contain a directed cycle (a self-link counts).
+
+    Kahn's algorithm in O(V + E): repeatedly peel off arguments that no
+    remaining link points to; whatever cannot be peeled lies on a cycle.
+    """
+    successors: dict[str, list[str]] = {}
+    indegree: dict[str, int] = {}
     for link in links:
-        adjacency.setdefault(link.source, set()).add(link.target)
-    seen: set[str] = set()
+        successors.setdefault(link.source, []).append(link.target)
+        indegree.setdefault(link.source, 0)
+        indegree[link.target] = indegree.get(link.target, 0) + 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for succ in successors.get(ready.pop(), ()):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    return peeled < len(indegree)
 
-    def reaches(start: str, goal: str) -> bool:
-        stack, visited = [start], set()
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return False
 
-    return any(reaches(succ, node)
-               for node in adjacency for succ in adjacency[node])
+def _reaches(links: tuple[Link, ...], start: str, goal: str) -> bool:
+    """Whether `goal` can be reached from `start` along links sorted by
+    source; each visited argument finds its outgoing links by bisection."""
+    stack, seen = [start], {start}
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        lo = bisect_left(links, node, key=_LINK_SOURCE)
+        hi = bisect_right(links, node, lo, key=_LINK_SOURCE)
+        for link in links[lo:hi]:
+            if link.target not in seen:
+                seen.add(link.target)
+                stack.append(link.target)
+    return False
 
 
 def add_link(graph: ArgumentGraph, source: str, target: str,
@@ -247,7 +274,12 @@ def add_link(graph: ArgumentGraph, source: str, target: str,
     """Return a new graph with the support link added.
 
     Raises SlotMismatch when the source's claim is not the target's datum
-    or backing as named, and CycleError when the link would close a cycle.
+    or backing as named, and CycleError when the link would close a cycle,
+    that is when `target` already reaches `source` (or they are the same
+    argument).  Only cycles through the new link are looked for: on a
+    caller-built graph whose links already contain a cycle, which neither
+    `parse_document` nor `add_link` produces, a link that closes no new
+    cycle is added; `validate_graph` reports the existing cycle.
     """
     if source not in graph.arguments:
         raise KeyError(f"unknown argument '{source}'")
@@ -257,8 +289,8 @@ def add_link(graph: ArgumentGraph, source: str, target: str,
     if not _claim_in_slot(graph, link):
         raise SlotMismatch(
             f"claim of '{source}' does not occupy the {role.value} slot of '{target}'")
-    new_links = tuple(sorted(graph.links + (link,)))
-    if _has_cycle(new_links):
+    new_links = tuple(sorted(graph.links + (link,), key=_LINK_ORDER))
+    if _reaches(new_links, target, source):
         raise CycleError(f"link {source}->{target} would close a support cycle")
     return replace(graph, links=new_links)
 

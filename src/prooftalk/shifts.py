@@ -29,10 +29,11 @@ _TYPE_PRIORITY = (
     DialogueType.DEBATE,
 )
 
+# Goal grade of each main goal: rank (higher is stronger) and name.
 _GOAL_GRADE = {
-    MainGoal.STABLE_RESOLUTION: 2,
-    MainGoal.PRACTICAL_SETTLEMENT: 1,
-    MainGoal.PROVISIONAL_ACCOMMODATION: 0,
+    MainGoal.STABLE_RESOLUTION: (2, "resolution"),
+    MainGoal.PRACTICAL_SETTLEMENT: (1, "settlement"),
+    MainGoal.PROVISIONAL_ACCOMMODATION: (0, "accommodation"),
 }
 
 
@@ -132,11 +133,12 @@ def judge_licitness(from_type: DialogueType, to_type: DialogueType,
     exactly when it weakens the goal grade."""
     if declared:
         return Licitness.LICIT, "shift was declared at the boundary"
-    before = _GOAL_GRADE[GOAL_OF_TYPE[from_type]]
-    after = _GOAL_GRADE[GOAL_OF_TYPE[to_type]]
+    before, before_name = _GOAL_GRADE[GOAL_OF_TYPE[from_type]]
+    after, after_name = _GOAL_GRADE[GOAL_OF_TYPE[to_type]]
     if after < before:
         return (Licitness.ILLICIT,
-                "settlement-grade conclusion presented in inquiry context")
+                f"{after_name}-grade {to_type.value} conclusion presented "
+                f"in {before_name}-grade {from_type.value} context")
     return Licitness.LICIT, "goal grade does not weaken"
 
 

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from prooftalk import markup
 from prooftalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -76,6 +78,53 @@ class TestValidate:
         assert main(["validate", str(invalid_file)]) == EXIT_DOMAIN
         out = capsys.readouterr().out
         assert "error" in out and "warrant" in out
+
+    # Argument "B" comes first; argument "A" (line 3) names a proposition
+    # that is also called B, so each finding on A quotes both ids.
+    COLLIDING = ('argument "B" { data x: "X" warrant w: "W" claim y: "Y" }\n'
+                 '\n'
+                 'argument "A" { data B: "b" warrant w: "W" claim CLAIM }\n')
+
+    def test_finding_reported_at_its_own_argument(self, tmp_path, capsys):
+        path = tmp_path / "collide.arg"
+        path.write_text(self.COLLIDING.replace("CLAIM", 'B: "b"'),
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == (
+            f"{path}:3:1: error: argument 'A' uses 'B' as both claim "
+            "and datum\n")
+
+    def test_dangling_reference_reported_at_its_own_argument(
+            self, tmp_path, monkeypatch, capsys):
+        # The parser declares every slot proposition, so the dangling
+        # reference is made by dropping one from the parsed document.
+        path = tmp_path / "collide.arg"
+        path.write_text(self.COLLIDING.replace("CLAIM", 'z: "Z"'),
+                        encoding="utf-8")
+        doc = markup.parse_document(path.read_text(encoding="utf-8"))
+        del doc.graph.propositions["B"]
+        monkeypatch.setattr(markup, "parse_document", lambda source: doc)
+        assert main(["validate", str(path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == (
+            f"{path}:3:1: error: argument 'A' data refers to unknown "
+            "proposition 'B'\n")
+
+
+@pytest.mark.parametrize("source", [
+    "participants: prover", "participants: prover, critic, judge",
+    "participants: prover, prover", "participants: prover, critic\n"
+    "  move \u00b2 prover assert p"])
+@pytest.mark.parametrize("command", ["analyze", "validate", "diagram",
+                                     "classify"])
+def test_malformed_dialogue_is_located_usage_error(
+        tmp_path, capsys, source, command):
+    path = tmp_path / "malformed.arg"
+    path.write_text('prop p: "x"\ndialogue "d" {\n  type: persuasion\n'
+                    f'  {source}\n  stance prover p: true\n}}\n',
+                    encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_USAGE
+    assert re.match(rf"{re.escape(str(path))}:\d+:\d+: error: ",
+                    capsys.readouterr().err)
 
 
 class TestDiagram:

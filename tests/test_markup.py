@@ -156,6 +156,40 @@ class TestParseDocument:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("names, found", [
+        ("prover", "1"), ("prover, critic, judge", "3")])
+    def test_dialogue_needs_exactly_two_participants(self, names, found):
+        src = ('prop p: "x"\n'
+               'dialogue "d" {\n  type: inquiry\n'
+               f'  participants: {names}\n'
+               '  stance prover p: unknown\n}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (4, 3)
+        assert (err.expected, err.found) == ("exactly two participants", found)
+
+    def test_duplicate_participant_id(self):
+        src = ('prop p: "x"\n'
+               'dialogue "d" {\n  type: inquiry\n  participants: a, a\n'
+               '  stance a p: unknown\n}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (4, 20)
+        assert err.hint == "duplicate participant"
+
+    def test_turn_with_non_ascii_digit(self):
+        src = ('prop p: "x"\n'
+               'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
+               '  stance a p: unknown\n  move \u00b2 a assert p\n}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (6, 8)
+        assert err.found == "\u00b2"
+        assert err.hint == "numbers use ASCII digits"
+
 
 class TestSerialize:
     def test_empty_document(self):

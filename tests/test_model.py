@@ -268,3 +268,16 @@ def test_validate_graph_reports_link_problems():
                         (Link("a1", "a0", LinkRole.DATUM),))
     rules = [d.rule for d in validate_graph(bad)]
     assert "link-slot-mismatch" in rules
+
+
+def test_diagnostics_name_the_argument_at_fault():
+    g = chain_graph(2)
+    bad = ArgumentGraph(
+        g.propositions,
+        {**g.arguments, "x": ToulminArgument("x", (), "w0", "ghost")},
+        (Link("a1", "a0", LinkRole.DATUM), Link("a1", "a1", LinkRole.DATUM)))
+    owners = {(d.rule, d.argument) for d in validate_graph(bad)}
+    assert owners == {
+        ("missing-data", "x"), ("unresolved-reference", "x"),
+        ("link-slot-mismatch", "a0"), ("link-slot-mismatch", "a1"),
+        ("support-cycle", None)}

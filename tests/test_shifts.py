@@ -158,3 +158,17 @@ class TestJudgeLicitness:
         licitness, _ = judge_licitness(
             DialogueType.DELIBERATION, DialogueType.NEGOTIATION, declared=False)
         assert licitness is Licitness.LICIT
+
+    def test_reason_names_persuasion_to_negotiation(self):
+        licitness, reason = judge_licitness(
+            DialogueType.PERSUASION, DialogueType.NEGOTIATION, declared=False)
+        assert licitness is Licitness.ILLICIT
+        assert reason == ("settlement-grade negotiation conclusion presented "
+                          "in resolution-grade persuasion context")
+
+    def test_reason_names_inquiry_to_eristic(self):
+        licitness, reason = judge_licitness(
+            DialogueType.INQUIRY, DialogueType.ERISTIC, declared=False)
+        assert licitness is Licitness.ILLICIT
+        assert reason == ("accommodation-grade eristic conclusion presented "
+                          "in resolution-grade inquiry context")
