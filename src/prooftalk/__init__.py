@@ -3,7 +3,6 @@ dialogues, commitment-store replay and shift analysis."""
 
 from .model import (
     ArgumentGraph,
-    ArgumentKind,
     Comparison,
     CycleError,
     Diagnostic,
@@ -62,8 +61,8 @@ from .shifts import (
     ShiftMode,
     detect_shifts,
     judge_licitness,
-    segment_transcript,
 )
 from .markup import Document, MarkupError, parse_document, serialize, tokenize
+from .analysis import analyze_document, classify_document
 
 __version__ = "0.1.0"

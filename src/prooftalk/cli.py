@@ -13,17 +13,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import engine, markup, shifts, typology
+from . import markup, typology
+from .analysis import DEFAULT_SHIFT_WINDOW, analyze_document, classify_document
 from .model import Severity, export_dot, validate_graph
-from .typology import (
-    GOAL_OF_TYPE,
-    DialogueType,
-    NoDispute,
-    Outcome,
-    UndefinedCell,
-    classify_proof_dialogue,
-    infer_initial_situation,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -69,10 +61,12 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_validate(args) -> int:
     status = EXIT_OK
+    unloaded = False
     for path in args.paths:
         doc = _load(path, sys.stderr)
         if isinstance(doc, int):
-            return doc
+            unloaded = True
+            continue
         diagnostics = validate_graph(doc.graph)
         for diag in diagnostics:
             span = (doc.block_spans.get(f"argument:{diag.argument}")
@@ -81,7 +75,7 @@ def cmd_validate(args) -> int:
             print(f"{path}:{line}:{col}: {diag.severity.value}: {diag.message}")
         if any(d.severity is Severity.ERROR for d in diagnostics):
             status = EXIT_DOMAIN
-    return status
+    return EXIT_USAGE if unloaded else status
 
 
 def cmd_diagram(args) -> int:
@@ -98,43 +92,11 @@ def cmd_diagram(args) -> int:
     return EXIT_OK
 
 
-def _classify_dialogue(decl: markup.DialogueDecl) -> dict:
-    prover, interlocutor = decl.participants[0], decl.participants[1]
-    situation = infer_initial_situation(
-        prover.initial_stance, interlocutor.initial_stance)
-    goal = GOAL_OF_TYPE[decl.declared_type]
-    entry: dict = {
-        "declared_type": decl.declared_type.value,
-        "main_goal": goal.value,
-    }
-    if isinstance(situation, NoDispute):
-        entry["initial_situation"] = "no_dispute"
-        entry["proof_dialogue"] = None
-        entry["note"] = "participants already agree; no dialogue arises"
-        return entry
-    if decl.declared_type in (DialogueType.ERISTIC, DialogueType.DEBATE) \
-            and situation.variant is typology.SituationKind.CONFLICT:
-        situation = typology.InitialSituation(
-            situation.variant, irreconcilable=True)
-    entry["initial_situation"] = situation.variant.value
-    if situation.asymmetry_direction:
-        entry["asymmetry_direction"] = situation.asymmetry_direction.value
-    try:
-        pd = classify_proof_dialogue(situation, goal)
-        entry["proof_dialogue"] = pd.value
-        entry["suspect"] = typology.proof_dialogue_row(pd).suspect
-    except UndefinedCell as exc:
-        entry["proof_dialogue"] = None
-        entry["note"] = str(exc)
-    return entry
-
-
 def cmd_classify(args) -> int:
     doc = _load(args.path, sys.stderr)
     if isinstance(doc, int):
         return doc
-    report = {name: _classify_dialogue(decl)
-              for name, decl in doc.dialogues.items()}
+    report = classify_document(doc)
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -148,27 +110,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _analyze_dialogue(decl: markup.DialogueDecl, window: int) -> dict:
-    initial = engine.new_dialogue(
-        decl.declared_type, decl.crucial, decl.participants, decl.settlement)
-    result = engine.replay_moves(initial, decl.moves, window)
-    entry = engine.replay_report(decl.name, result)
-    segments = shifts.segment_moves(decl.moves, decl.declared_type, window)
-    entry["segments"] = [
-        {"start_turn": s.start_turn, "end_turn": s.end_turn,
-         "type": s.operative_type.value, "declared": s.declared}
-        for s in segments
-    ]
-    entry["shifts"] = [
-        {"at_turn": s.at_turn, "from": s.from_type.value,
-         "to": s.to_type.value, "kind": s.kind.value, "mode": s.mode.value,
-         "licitness": s.licitness.value, "reason": s.reason}
-        for s in shifts.detect_shifts(segments)
-    ]
-    entry["classification"] = _classify_dialogue(decl)
-    return entry
-
-
 def cmd_analyze(args) -> int:
     doc = _load(args.path, sys.stderr)
     if isinstance(doc, int):
@@ -178,46 +119,10 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    status = EXIT_OK
-    dialogue_entries = []
-    for name in sorted(doc.dialogues):
-        try:
-            entry = _analyze_dialogue(doc.dialogues[name], args.shift_window)
-        except engine.StanceMismatch as exc:
-            entry = {"dialogue_id": name, "error": str(exc)}
-            status = EXIT_DOMAIN
-            dialogue_entries.append(entry)
-            continue
-        if entry["violations"]:
-            status = EXIT_DOMAIN
-        dialogue_entries.append(entry)
-
-    by_id = {e["dialogue_id"]: e for e in dialogue_entries}
-    proof_entries = []
-    for pname in sorted(doc.proofs):
-        outcomes: dict = {}
-        for dname in doc.proofs[pname].dialogues:
-            entry = by_id.get(dname)
-            if entry is None or "error" in entry:
-                continue
-            pd = entry["classification"].get("proof_dialogue")
-            if pd is None:
-                continue
-            ok = entry["goal"]["achieved"] and not entry["violations"]
-            outcomes[typology.ProofDialogueType(pd)] = (
-                Outcome.SUCCESS if ok else Outcome.FAILURE)
-        verdict = typology.assess_proof_status(outcomes)
-        proof_entries.append({
-            "proof_id": pname,
-            "outcomes": {t.value: o.value for t, o in outcomes.items()},
-            "status": verdict.variant.value,
-            "diagnostics": list(verdict.diagnostics),
-        })
-
-    report = {"dialogues": dialogue_entries, "proofs": proof_entries}
+    report = analyze_document(doc, args.shift_window)
     if args.format == "text":
         lines = []
-        for e in dialogue_entries:
+        for e in report["dialogues"]:
             if "error" in e:
                 lines.append(f"{e['dialogue_id']}: error: {e['error']}")
                 continue
@@ -225,12 +130,13 @@ def cmd_analyze(args) -> int:
             lines.append(f"{e['dialogue_id']}: goal {goal} "
                          f"({e['goal']['reason']}); "
                          f"{len(e['shifts'])} shift(s)")
-        for e in proof_entries:
+        for e in report["proofs"]:
             lines.append(f"proof {e['proof_id']}: {e['status']}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    return status
+    failed = any("error" in e or e["violations"] for e in report["dialogues"])
+    return EXIT_DOMAIN if failed else EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -266,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--out")
-    p.add_argument("--shift-window", type=int, default=3, dest="shift_window")
+    p.add_argument("--shift-window", type=int, default=DEFAULT_SHIFT_WINDOW,
+                   dest="shift_window")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("report", help="emit the embedded typology tables")

@@ -14,10 +14,8 @@ from typing import Optional, Union
 
 from .typology import (
     DialogueType,
-    InitialSituation,
     NoDispute,
     SITUATION_OF_TYPE,
-    SituationKind,
     Stance,
     infer_initial_situation,
 )
@@ -30,7 +28,6 @@ ANSWER_WINDOW = 2
 class Role(str, Enum):
     PROVER = "prover"
     INTERLOCUTOR = "interlocutor"
-    NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
@@ -110,12 +107,6 @@ class DialogueState:
             if s.owner == participant:
                 return s
         raise KeyError(f"unknown participant '{participant}'")
-
-    def participant(self, pid: str) -> Participant:
-        for p in self.participants:
-            if p.id == pid:
-                return p
-        raise KeyError(f"unknown participant '{pid}'")
 
 
 class StanceMismatch(Exception):
@@ -425,16 +416,14 @@ class ReplayResult:
 
 
 def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
-                 shift_window: int = 3) -> ReplayResult:
+                 segments: list) -> ReplayResult:
     """Fold apply_move over a move list, stopping at the first violation.
 
-    Undeclared drifts detected by the shift analyser switch the
-    operative type before the offending move is applied, so a transcript
-    that coherently settles into another dialogue type replays cleanly.
+    `segments` are the moves' shift segments (`shifts.segment_moves`):
+    each undeclared drift switches the operative type before the move
+    that opens it is applied, so a transcript that coherently settles
+    into another dialogue type replays cleanly.
     """
-    from .shifts import segment_moves  # deferred: shifts uses engine types
-
-    segments = segment_moves(moves, initial.declared_type, shift_window)
     switch_at = {s.start_turn: s.operative_type
                  for s in segments[1:] if not s.declared}
     state = initial
@@ -447,21 +436,3 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
             return ReplayResult(state, ViolationInfo(
                 move.turn, exc.rule, str(exc)))
     return ReplayResult(state)
-
-
-def replay_report(dialogue_id: str, result: ReplayResult) -> dict:
-    """JSON-ready replay summary with deterministic ordering."""
-    state = result.state
-    verdict = goal_achieved(state)
-    return {
-        "dialogue_id": dialogue_id,
-        "final_phase": state.phase.value,
-        "goal": {"achieved": verdict.achieved, "reason": verdict.reason},
-        "violations": ([] if result.ok else
-                       [{"turn": result.violation.turn,
-                         "rule": result.violation.rule}]),
-        "stores": {
-            s.owner: sorted([p, pol.value] for p, pol in s.commitments)
-            for s in state.stores
-        },
-    }

@@ -14,13 +14,11 @@ from typing import Optional, Union
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
     ArgumentGraph,
-    CycleError,
     Link,
     LinkRole,
     Proposition,
     Qualifier,
     QualifierKind,
-    SlotMismatch,
     ToulminArgument,
     _has_cycle,
 )
@@ -379,6 +377,11 @@ class _Parser:
         if tok.kind == "ident" and tok.value == "custom":
             label = self.expect("string", "custom qualifier label")
             if label is None:
+                return None
+            if not label.value:
+                self.errors.append(ParseError(
+                    label.span, "custom qualifier label", '""',
+                    "a custom label must be non-empty"))
                 return None
             return Qualifier(QualifierKind.CUSTOM, label.value)
         self.error("qualifier keyword", tok)

@@ -15,20 +15,10 @@ from operator import attrgetter
 from typing import Optional
 
 
-class TruthTag(str, Enum):
-    """Provenance note attached to a proposition."""
-
-    PROVED_CONVENTIONALLY = "proved-conventionally"
-    COMPUTER_VERIFIED = "computer-verified"
-    ASSUMED = "assumed"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class Proposition:
     id: str
     text: str
-    truth_tag: Optional[TruthTag] = None
 
 
 class QualifierKind(str, Enum):
@@ -92,11 +82,6 @@ def compare_qualifiers(a: Qualifier, b: Qualifier) -> Comparison:
     return Comparison.STRONGER if ra > rb else Comparison.WEAKER
 
 
-class ArgumentKind(str, Enum):
-    REGULAR = "regular"      # argues within a field, using its warrants
-    CRITICAL = "critical"    # challenges the backing of a field's warrants
-
-
 @dataclass(frozen=True)
 class ToulminArgument:
     id: str
@@ -106,8 +91,6 @@ class ToulminArgument:
     backing: Optional[str] = None
     qualifier: Optional[Qualifier] = None
     rebuttals: tuple[str, ...] = ()
-    kind: ArgumentKind = ArgumentKind.REGULAR
-    field_label: Optional[str] = None
 
 
 class LinkRole(str, Enum):

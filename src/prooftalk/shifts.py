@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import DialogueState, Move, MoveKind, kind_allowed
+from .engine import Move, MoveKind, kind_allowed
 from .typology import DialogueType, GOAL_OF_TYPE, MainGoal
 
 DEFAULT_SHIFT_WINDOW = 3
@@ -120,11 +120,6 @@ def segment_moves(moves: tuple[Move, ...], initial_type: DialogueType,
             current, declared, sharp = candidates[0], False, len(alone) == 1
     close(moves[-1].turn)
     return segments
-
-
-def segment_transcript(state: DialogueState,
-                       window: int = DEFAULT_SHIFT_WINDOW) -> list[Segment]:
-    return segment_moves(state.history, state.declared_type, window)
 
 
 def judge_licitness(from_type: DialogueType, to_type: DialogueType,

@@ -72,13 +72,6 @@ class DialogueType(str, Enum):
     PEDAGOGICAL = "pedagogical"
 
 
-# The two derived types and the basic types they mix or specialize.
-DERIVED_BASES: dict[DialogueType, frozenset[DialogueType]] = {
-    DialogueType.DEBATE: frozenset({DialogueType.PERSUASION, DialogueType.ERISTIC}),
-    DialogueType.PEDAGOGICAL: frozenset({DialogueType.INFORMATION_SEEKING}),
-}
-
-
 class UndefinedCell(Exception):
     """The situation/goal combination is ruled out by the typology."""
 

@@ -79,6 +79,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "error" in out and "warrant" in out
 
+    def test_keeps_going_past_files_that_fail_to_load(
+            self, tmp_path, broken_file, invalid_file, fixtures, capsys):
+        missing = tmp_path / "nope.arg"
+        code = main(["validate", str(missing), str(invalid_file),
+                     str(broken_file), str(fixtures["harry.arg"])])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{missing}: error: " in captured.err
+        assert f"{broken_file}:1:" in captured.err
+        assert f"{invalid_file}:1:1: error: " in captured.out
+
     # Argument "B" comes first; argument "A" (line 3) names a proposition
     # that is also called B, so each finding on A quotes both ids.
     COLLIDING = ('argument "B" { data x: "X" warrant w: "W" claim y: "Y" }\n'
@@ -212,6 +223,19 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         violation = report["dialogues"][0]["violations"][0]
         assert violation["rule"] == "retract-without-commitment"
+
+    def test_stance_mismatch_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "mismatch.arg"
+        path.write_text(
+            'prop p: "x"\n'
+            'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
+            '  stance a p: true\n  stance b p: false\n}\n',
+            encoding="utf-8")
+        assert main(["analyze", str(path)]) == EXIT_DOMAIN
+        report = json.loads(capsys.readouterr().out)
+        assert report["dialogues"] == [{
+            "dialogue_id": "d",
+            "error": "inquiry requires open_problem; stances give conflict"}]
 
 
 class TestReport:

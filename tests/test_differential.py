@@ -116,8 +116,10 @@ GOLDEN = json.loads(
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_fixture_output_matches_golden(case, monkeypatch, capsys):
-    name, command = case.split()
+    """A case is `FILE COMMAND [OPTION...]`, or a command without a file."""
+    words = case.split()
+    argv = words[1:] + words[:1] if words[0].endswith(".arg") else words
     monkeypatch.chdir(fixture_paths()[0].parent)
-    code = main([command, name])
+    code = main(argv)
     out, err = capsys.readouterr()
     assert {"exit": code, "stdout": out, "stderr": err} == GOLDEN[case]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from prooftalk.analysis import analyze_document
 from prooftalk.engine import (
     DialogueState,
     Move,
@@ -18,8 +19,9 @@ from prooftalk.engine import (
     legal_moves,
     new_dialogue,
     replay_moves,
-    replay_report,
 )
+from prooftalk.markup import DialogueDecl, Document
+from prooftalk.shifts import Segment, segment_moves
 from prooftalk.typology import DialogueType, Stance
 
 PROPS = {"p1", "p2"}
@@ -37,6 +39,11 @@ def inquiry_state():
 def persuasion_state():
     return new_dialogue(DialogueType.PERSUASION, "p1",
                         participants(Stance.TRUE, Stance.FALSE))
+
+
+def replay(initial, moves):
+    return replay_moves(initial, moves,
+                        segment_moves(moves, initial.declared_type))
 
 
 class TestNewDialogue:
@@ -288,12 +295,12 @@ class TestGoalAchieved:
 class TestReplay:
     def test_empty_moves_returns_initial(self):
         initial = inquiry_state()
-        result = replay_moves(initial, ())
+        result = replay_moves(initial, (), [])
         assert result.ok
         assert result.state == initial
 
     def test_out_of_order_turns_reported(self):
-        result = replay_moves(inquiry_state(), (
+        result = replay(inquiry_state(), (
             Move(1, "alice", MoveKind.ASSERT, "p1"),
             Move(3, "bob", MoveKind.QUESTION, "p1"),
         ))
@@ -303,11 +310,24 @@ class TestReplay:
         # snapshot precedes the offending move
         assert len(result.state.history) == 1
 
+    def test_undeclared_drift_segment_switches_operative_type(self):
+        # an offer is not an inquiry move; the drift segment from turn 2
+        # makes it a deliberation move
+        moves = (Move(1, "alice", MoveKind.ASSERT, "p1"),
+                 Move(2, "bob", MoveKind.OFFER, "p2"))
+        assert replay_moves(inquiry_state(), moves, []).violation.rule \
+            == "offer-move-outside-settlement-dialogue"
+        drift = [Segment(1, 1, DialogueType.INQUIRY, False),
+                 Segment(2, 2, DialogueType.DELIBERATION, False)]
+        result = replay_moves(inquiry_state(), moves, drift)
+        assert result.ok
+        assert result.state.current_type is DialogueType.DELIBERATION
+
     def test_wiles_fixture_persuasion_fails(self, corpus):
         decl = corpus["wiles_attempt"][1].dialogues["wiles_persuasion"]
         initial = new_dialogue(decl.declared_type, decl.crucial,
                                decl.participants)
-        result = replay_moves(initial, decl.moves)
+        result = replay(initial, decl.moves)
         assert result.ok
         verdict = goal_achieved(result.state)
         assert not verdict.achieved
@@ -319,7 +339,7 @@ class TestReplay:
             for decl in doc.dialogues.values():
                 initial = new_dialogue(decl.declared_type, decl.crucial,
                                        decl.participants, decl.settlement)
-                result = replay_moves(initial, decl.moves)
+                result = replay(initial, decl.moves)
                 assert result.ok
                 for store in result.state.stores:
                     for prop, pol in store.commitments:
@@ -335,9 +355,11 @@ class TestReplay:
                             assert seeded == pol
 
     def test_replay_report_shape(self):
-        result = replay_moves(inquiry_state(),
-                              (Move(1, "alice", MoveKind.ASSERT, "p1"),))
-        report = replay_report("demo", result)
-        assert set(report) == {"dialogue_id", "final_phase", "goal",
-                               "violations", "stores"}
-        assert report["stores"]["alice"] == [["p1", "affirmed"]]
+        decl = DialogueDecl("demo", DialogueType.INQUIRY, participants(), "p1",
+                            None, (Move(1, "alice", MoveKind.ASSERT, "p1"),))
+        report = analyze_document(Document(dialogues={"demo": decl}))
+        [entry] = report["dialogues"]
+        assert set(entry) == {"dialogue_id", "final_phase", "goal",
+                              "violations", "stores", "segments", "shifts",
+                              "classification"}
+        assert entry["stores"]["alice"] == [["p1", "affirmed"]]

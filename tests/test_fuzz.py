@@ -1,0 +1,55 @@
+"""Robustness: no input makes the parser or a command raise.
+
+Documents are drawn as arbitrary text and as concatenations of grammar
+fragments, among them the edge cases the parser has to reject with a
+located error: an empty custom qualifier label, one- and three-party
+`participants` lines and `uses` lines outside any argument.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from prooftalk.cli import main
+from prooftalk.markup import Document, MarkupError, parse_document
+
+FRAGMENTS = (
+    'version 1', 'prop p: "P"', 'prop q: "Q"', '}',
+    'argument "a" {', 'argument "b" {', 'data p: "P"', 'data d: "D"',
+    'warrant w: "W"', 'claim c: "C"', 'claim p: "P"', 'backing b: "B"',
+    'rebuttal r: "R"', 'qualifier: probably', 'qualifier: necessarily',
+    'qualifier: custom "beyond doubt"', 'qualifier: custom ""',
+    'uses p <- argument "a"', 'uses c <- argument "b"',
+    'dialogue "d" {', 'type: persuasion', 'type: inquiry', 'type: eristic',
+    'participants: x, y', 'participants: x', 'participants: x, y, z',
+    'stance x p: true', 'stance y p: false', 'stance y p: unknown',
+    'settlement q', 'move 1 x assert p', 'move 2 y challenge p',
+    'move 3 x declare_shift deliberation', 'move 3 x offer q',
+    'move 4 y concede p', 'move 5 x close p',
+    'proof "pr" {', 'dialogues: d',
+)
+
+EMPTY_LABEL = 'argument "a" {\nqualifier: custom ""\n}'
+
+documents = st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("\n".join)
+
+
+@settings(max_examples=300)
+@example(EMPTY_LABEL)
+@given(st.one_of(st.text(), documents))
+def test_parse_returns_document_or_raises_markup_error(text):
+    try:
+        assert isinstance(parse_document(text), Document)
+    except MarkupError:
+        pass
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(EMPTY_LABEL)
+@given(documents)
+def test_commands_exit_with_a_code(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.arg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("analyze", "classify", "validate", "diagram"):
+        assert main([command, str(path)]) in (0, 1, 2)
+    capsys.readouterr()

@@ -1,0 +1,59 @@
+"""Source hygiene, read from the syntax tree of each module: no unused
+imports, and the layering the analysis pipeline relies on (the engine
+does not reach up into shift analysis; the CLI goes through the
+pipeline rather than the layers beneath it)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prooftalk"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def tree_of(name):
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def imported_modules(tree):
+    """Every sibling module an import anywhere in the tree names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("prooftalk")
+            module = module.lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import engine
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "prooftalk" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in bound.items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_engine_imports_nothing_from_shifts():
+    assert "shifts" not in imported_modules(tree_of("engine.py"))
+
+
+def test_cli_imports_neither_engine_nor_shifts():
+    assert not {"engine", "shifts"} & imported_modules(tree_of("cli.py"))

@@ -190,6 +190,16 @@ class TestParseDocument:
         assert err.found == "\u00b2"
         assert err.hint == "numbers use ASCII digits"
 
+    def test_empty_custom_qualifier_label(self):
+        src = ('argument "a" {\n  data d: "D"\n  warrant w: "W"\n'
+               '  qualifier: custom ""\n  claim c: "C"\n}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (4, 21)
+        assert (err.expected, err.found) == ("custom qualifier label", '""')
+        assert err.hint == "a custom label must be non-empty"
+
 
 class TestSerialize:
     def test_empty_document(self):
