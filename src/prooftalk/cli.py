@@ -40,7 +40,7 @@ def fixture_paths() -> list[Path]:
 def _load(path: str, out) -> markup.Document | int:
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: error: {exc}", file=out)
         return EXIT_USAGE
     try:
@@ -52,11 +52,16 @@ def _load(path: str, out) -> markup.Document | int:
         return EXIT_USAGE
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text: str, out_path) -> int:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"{out_path}: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -88,8 +93,7 @@ def cmd_diagram(args) -> int:
         for d in errors:
             print(f"{args.path}: error: {d.message}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(export_dot(doc.graph), args.out)
-    return EXIT_OK
+    return _emit(export_dot(doc.graph), args.out)
 
 
 def cmd_classify(args) -> int:
@@ -98,16 +102,15 @@ def cmd_classify(args) -> int:
         return doc
     report = classify_document(doc)
     if args.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = []
-        for name in sorted(report):
-            e = report[name]
-            lines.append(f"{name}: {e['declared_type']} "
-                         f"({e['initial_situation']} / {e['main_goal']}) "
-                         f"-> {e['proof_dialogue'] or 'undefined'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                     args.out)
+    lines = []
+    for name in sorted(report):
+        e = report[name]
+        lines.append(f"{name}: {e['declared_type']} "
+                     f"({e['initial_situation']} / {e['main_goal']}) "
+                     f"-> {e['proof_dialogue'] or 'undefined'}")
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -132,16 +135,15 @@ def cmd_analyze(args) -> int:
                          f"{len(e['shifts'])} shift(s)")
         for e in report["proofs"]:
             lines.append(f"proof {e['proof_id']}: {e['status']}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     failed = any("error" in e or e["violations"] for e in report["dialogues"])
-    return EXIT_DOMAIN if failed else EXIT_OK
+    return _emit(text, args.out) or (EXIT_DOMAIN if failed else EXIT_OK)
 
 
 def cmd_report(args) -> int:
-    _emit(typology.tables_to_json(), args.out)
-    return EXIT_OK
+    return _emit(typology.tables_to_json(), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

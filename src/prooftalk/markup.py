@@ -8,6 +8,7 @@ valid document and reparsing it yields a structurally equal document.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -20,6 +21,7 @@ from .model import (
     Qualifier,
     QualifierKind,
     ToulminArgument,
+    _LINK_ORDER,
     _has_cycle,
 )
 from .typology import DialogueType, Stance
@@ -65,10 +67,6 @@ KEYWORDS = frozenset({
     "threat", "declare_shift", "close",
 })
 
-_DIGITS = frozenset("0123456789")
-_PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ",": "comma",
-          ";": "semicolon"}
-
 QUALIFIER_WORDS = {
     "necessarily": QualifierKind.NECESSARILY,
     "almost_certainly": QualifierKind.ALMOST_CERTAINLY,
@@ -89,81 +87,59 @@ class Token:
     span: SourceSpan
 
 
+# One match skips whitespace and comments, then captures one token in the
+# group named after its kind.  A string that does not close, or holds an
+# escape other than \" and \\, matches `badstring` up to the fault.  With
+# no token group matched, the match ends at the end of input or at an
+# illegal character.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+ | \#[^\n]*)*
+    (?: (?P<arrow><-) | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<colon>:)
+      | (?P<comma>,) | (?P<semicolon>;)
+      | (?P<string>"(?:[^"\\]|\\["\\])*")
+      | (?P<badstring>"(?:[^"\\]|\\["\\])*)
+      | (?P<int>[0-9]+) | (?P<word>\w+) )?
+""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def tokenize(source: str) -> list[Token]:
     """Lex the source into tokens; raises MarkupError with an exact span
-    on an unterminated string or illegal character."""
+    on an unterminated string, illegal escape or illegal character."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal i, line, col
-        for ch in text:
-            i += 1
-            if ch == "\n":
-                line, col = line + 1, 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            continue
-        if ch == "#":
-            end = source.find("\n", i)
-            advance(source[i:] if end < 0 else source[i:end])
-            continue
-        start_span = (line, col, i)
-        if ch == "<" and source.startswith("<-", i):
-            tokens.append(Token("arrow", "<-", SourceSpan(*start_span, 2)))
-            advance("<-")
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, SourceSpan(*start_span, 1)))
-            advance(ch)
-            continue
-        if ch == '"':
-            j, parts = i + 1, []
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    if j + 1 < n and source[j + 1] in ('"', "\\"):
-                        parts.append(source[j + 1])
-                        j += 2
-                        continue
-                    raise MarkupError([ParseError(
-                        SourceSpan(*start_span, j + 2 - i), "string",
-                        source[i:j + 2], "illegal escape sequence")])
-                parts.append(source[j])
-                j += 1
-            if j >= n:
-                raise MarkupError([ParseError(
-                    SourceSpan(*start_span, 1), "closing quote",
-                    source[i:min(i + 20, n)], "unterminated string")])
-            tokens.append(Token("string", "".join(parts),
-                                SourceSpan(*start_span, j + 1 - i)))
-            advance(source[i:j + 1])
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", source[i:j], SourceSpan(*start_span, j - i)))
-            advance(source[i:j])
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, SourceSpan(*start_span, j - i)))
-            advance(word)
-            continue
-        raise MarkupError([ParseError(
-            SourceSpan(*start_span, 1), "token", ch,
-            "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
-    return tokens
+    line, line_start, counted, pos = 1, 0, 0, 0
+    while True:
+        m = _TOKEN.match(source, pos)
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted, pos = start, m.end()
+        column = start - line_start + 1
+        if kind == "badstring" and pos < len(source):
+            raise MarkupError([ParseError(
+                SourceSpan(line, column, start, pos + 2 - start), "string",
+                source[start:pos + 2], "illegal escape sequence")])
+        if kind == "badstring":
+            raise MarkupError([ParseError(
+                SourceSpan(line, column, start, 1), "closing quote",
+                source[start:start + 20], "unterminated string")])
+        if kind is None or kind == "word" and not (
+                source[start].isalpha() or source[start] == "_"):
+            if start == len(source):
+                return tokens
+            ch = source[start]
+            raise MarkupError([ParseError(
+                SourceSpan(line, column, start, 1), "token", ch,
+                "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
+        value = m[kind]
+        if kind == "word":
+            kind = "keyword" if value in KEYWORDS else "ident"
+        elif kind == "string":
+            value = _ESCAPE.sub(r"\1", value[1:-1])
+        tokens.append(Token(kind, value, SourceSpan(line, column, start, pos - start)))
 
 
 @dataclass(frozen=True)
@@ -234,6 +210,14 @@ class _Parser:
             return True
         self.error(f"'{word}'")
         return False
+
+    def ident_list(self, expected: str) -> list[Token]:
+        """A comma-separated identifier list; missing entries are errors."""
+        idents = [self.expect("ident", expected)]
+        while self.peek().kind == "comma":
+            self.next()
+            idents.append(self.expect("ident", expected))
+        return [ident for ident in idents if ident is not None]
 
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
@@ -406,14 +390,6 @@ class _Parser:
         settlement: Optional[str] = None
         moves: list[Move] = []
 
-        def add_participant() -> None:
-            ident = self.expect("ident", "participant id")
-            if ident is not None:
-                if ident.value in order:
-                    self.error("fresh participant id", ident,
-                               "duplicate participant")
-                order.append(ident.value)
-
         while self.peek().kind != "rbrace":
             tok = self.peek()
             if tok.kind == "eof":
@@ -430,10 +406,11 @@ class _Parser:
             elif self.at_kw("participants"):
                 order_tok = self.next()
                 if self.expect("colon"):
-                    add_participant()
-                    while self.peek().kind == "comma":
-                        self.next()
-                        add_participant()
+                    for ident in self.ident_list("participant id"):
+                        if ident.value in order:
+                            self.error("fresh participant id", ident,
+                                       "duplicate participant")
+                        order.append(ident.value)
             elif self.at_kw("stance"):
                 self.next()
                 pid = self.expect("ident", "participant id")
@@ -520,14 +497,7 @@ class _Parser:
             return
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
-            ident = self.expect("ident", "dialogue name")
-            if ident:
-                names.append(ident.value)
-            while self.peek().kind == "comma":
-                self.next()
-                ident = self.expect("ident", "dialogue name")
-                if ident:
-                    names.append(ident.value)
+            names = [ident.value for ident in self.ident_list("dialogue name")]
         self.expect("rbrace")
         for n in names:
             if n not in self.doc.dialogues:
@@ -563,7 +533,7 @@ class _Parser:
                     "source claim does not match the slot"))
                 continue
             links.add(Link(src, target, role))
-        self.doc.graph.links = tuple(sorted(links))
+        self.doc.graph.links = tuple(sorted(links, key=_LINK_ORDER))
         if _has_cycle(self.doc.graph.links):
             anchor = self.uses[-1][3] if self.uses else SourceSpan(1, 1, 0, 1)
             self.errors.append(ParseError(

@@ -223,6 +223,29 @@ def proof_dialogue_row(t: ProofDialogueType) -> ProofDialogueRow:
     return _TABLE3[t]
 
 
+_CONFLICT = InitialSituation(SituationKind.CONFLICT)
+_OPEN_PROBLEM = InitialSituation(SituationKind.OPEN_PROBLEM)
+
+_PROOF_ROWS: dict[tuple[InitialSituation, MainGoal], ProofDialogueType] = {
+    (_OPEN_PROBLEM, MainGoal.STABLE_RESOLUTION):
+        ProofDialogueType.PROOF_AS_INQUIRY,
+    (_OPEN_PROBLEM, MainGoal.PRACTICAL_SETTLEMENT):
+        ProofDialogueType.SUSPECT_DELIBERATION,
+    (_CONFLICT, MainGoal.STABLE_RESOLUTION):
+        ProofDialogueType.PROOF_AS_PERSUASION,
+    (_CONFLICT, MainGoal.PRACTICAL_SETTLEMENT):
+        ProofDialogueType.SUSPECT_NEGOTIATION,
+    (InitialSituation(SituationKind.CONFLICT, irreconcilable=True),
+     MainGoal.PROVISIONAL_ACCOMMODATION): ProofDialogueType.SUSPECT_ERISTIC,
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.INTERLOCUTOR_LACKS),
+     MainGoal.STABLE_RESOLUTION): ProofDialogueType.PROOF_AS_PEDAGOGICAL,
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.PROVER_LACKS),
+     MainGoal.STABLE_RESOLUTION): ProofDialogueType.SUSPECT_INFO_SEEKING,
+}
+
+
 def classify_proof_dialogue(s: InitialSituation, g: MainGoal) -> ProofDialogueType:
     """Map a situation/goal pair to its proof-dialogue row.
 
@@ -230,25 +253,12 @@ def classify_proof_dialogue(s: InitialSituation, g: MainGoal) -> ProofDialogueTy
     commitment on both sides).  Combinations outside the seven rows
     raise UndefinedCell.
     """
-    k = s.variant
-    if k is SituationKind.OPEN_PROBLEM:
-        if g is MainGoal.STABLE_RESOLUTION:
-            return ProofDialogueType.PROOF_AS_INQUIRY
-        if g is MainGoal.PRACTICAL_SETTLEMENT:
-            return ProofDialogueType.SUSPECT_DELIBERATION
-    elif k is SituationKind.CONFLICT:
-        if not s.irreconcilable and g is MainGoal.STABLE_RESOLUTION:
-            return ProofDialogueType.PROOF_AS_PERSUASION
-        if not s.irreconcilable and g is MainGoal.PRACTICAL_SETTLEMENT:
-            return ProofDialogueType.SUSPECT_NEGOTIATION
-        if s.irreconcilable and g is MainGoal.PROVISIONAL_ACCOMMODATION:
-            return ProofDialogueType.SUSPECT_ERISTIC
-    elif k is SituationKind.INFO_ASYMMETRY and g is MainGoal.STABLE_RESOLUTION:
-        if s.asymmetry_direction is AsymmetryDirection.INTERLOCUTOR_LACKS:
-            return ProofDialogueType.PROOF_AS_PEDAGOGICAL
-        return ProofDialogueType.SUSPECT_INFO_SEEKING
-    raise UndefinedCell(
-        f"no proof dialogue arises from {k.value} with goal {g.value}")
+    try:
+        return _PROOF_ROWS[(s, g)]
+    except KeyError:
+        raise UndefinedCell(
+            f"no proof dialogue arises from {s.variant.value} with goal {g.value}"
+        ) from None
 
 
 class Outcome(str, Enum):

@@ -138,6 +138,42 @@ def test_malformed_dialogue_is_located_usage_error(
                     capsys.readouterr().err)
 
 
+@pytest.fixture()
+def non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.arg"
+    path.write_bytes(b'prop p: "\xff"\n')
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "validate",
+                                     "diagram"])
+def test_non_utf8_file_is_usage_error(non_utf8_file, command, capsys):
+    assert main([command, str(non_utf8_file)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"{non_utf8_file}: error: ")
+
+
+def test_validate_keeps_going_past_a_non_utf8_file(
+        non_utf8_file, invalid_file, capsys):
+    code = main(["validate", str(non_utf8_file), str(invalid_file)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{non_utf8_file}: error: ")
+    assert f"{invalid_file}:1:1: error: " in captured.out
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("report", None), ("diagram", "harry.arg"),
+    ("classify", "wiles_attempt.arg"), ("analyze", "wiles_attempt.arg")])
+def test_out_to_missing_directory_is_usage_error(
+        command, fixture, fixtures, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    argv = [command] + ([str(fixtures[fixture])] if fixture else [])
+    assert main(argv + ["--out", str(target)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{target}: error: ")
+    assert captured.out == ""
+
+
 class TestDiagram:
     def test_writes_dot_to_stdout(self, fixtures, capsys):
         assert main(["diagram", str(fixtures["harry.arg"])]) == EXIT_OK

@@ -1,16 +1,18 @@
-"""The linear-time cycle, link and challenge checks agree with the
-reference versions in `oracles`, and the CLI output on the shipped
-corpus matches the recorded golden output byte for byte."""
+"""The linear-time cycle, link and challenge checks and the regex
+tokenizer agree with the reference versions in `oracles`, and the CLI
+output on the shipped corpus matches the recorded golden output byte
+for byte."""
 
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from prooftalk.cli import fixture_paths, main
 from prooftalk.engine import DialogueState, Move, MoveKind, _unanswered_challenge
+from prooftalk.markup import MarkupError, tokenize
 from prooftalk.model import (
     ArgumentGraph,
     CycleError,
@@ -107,6 +109,38 @@ moves = st.builds(
 def test_unanswered_challenge_matches_reference(history):
     state = DialogueState(DialogueType.PERSUASION, "p", (), (), history)
     assert _unanswered_challenge(state) == oracles.unanswered_challenge(state)
+
+
+def lexed(lex, source):
+    try:
+        return lex(source)
+    except MarkupError as exc:
+        return exc.errors
+
+
+# Characters where the token rules have edges: the whitespace set, comment
+# and string delimiters, escapes, punctuation, identifier starts, ASCII
+# digits and the digits and numerics that are not ASCII, plus vertical tab
+# and no-break space, which are not whitespace.
+EDGE_ALPHABET = ' \t\r\n#"\\<-{}:,;_aZé09²٣½\x0b\xa0'
+
+edge_text = st.text(EDGE_ALPHABET)
+# Runs of edge text, bare or quoted, so that strings holding newlines,
+# escapes and quotes come up with more tokens after them.
+edge_sources = st.lists(
+    st.one_of(edge_text, edge_text.map('"{}"'.format))).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), edge_sources))
+def test_tokenize_matches_reference(source):
+    assert lexed(tokenize, source) == lexed(oracles.tokenize, source)
+
+
+@pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
+def test_tokenize_matches_reference_on_fixtures(path):
+    source = path.read_text(encoding="utf-8")
+    assert lexed(tokenize, source) == lexed(oracles.tokenize, source)
 
 
 GOLDEN = json.loads(

@@ -3,7 +3,9 @@
 Documents are drawn as arbitrary text and as concatenations of grammar
 fragments, among them the edge cases the parser has to reject with a
 located error: an empty custom qualifier label, one- and three-party
-`participants` lines and `uses` lines outside any argument.
+`participants` lines and `uses` lines outside any argument.  Fragments
+also carry CRLF line ends, tabs, a comment that may end the file and
+Unicode identifiers.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -26,6 +28,9 @@ FRAGMENTS = (
     'move 3 x declare_shift deliberation', 'move 3 x offer q',
     'move 4 y concede p', 'move 5 x close p',
     'proof "pr" {', 'dialogues: d',
+    'prop q: "Q"\r', '\tclaim c: "C"\t', '# comment, maybe at the end',
+    'prop é_1: "É"', 'participants: ünal, ñ', 'stance ünal é_1: true',
+    'move 1 ñ assert é_1',
 )
 
 EMPTY_LABEL = 'argument "a" {\nqualifier: custom ""\n}'

@@ -172,15 +172,36 @@ class TestClassifyProofDialogue:
             == "Exchange resources for a provisional conclusion"
 
     def test_exhaustive_extended_grid(self):
-        defined = {}
+        open_problem, conflict, irreconcilable, pupil, prover = \
+            extended_situations()
+        stable, practical, provisional = (
+            MainGoal.STABLE_RESOLUTION, MainGoal.PRACTICAL_SETTLEMENT,
+            MainGoal.PROVISIONAL_ACCOMMODATION)
+        expected = {
+            (open_problem, stable): ProofDialogueType.PROOF_AS_INQUIRY,
+            (open_problem, practical): ProofDialogueType.SUSPECT_DELIBERATION,
+            (open_problem, provisional): None,
+            (conflict, stable): ProofDialogueType.PROOF_AS_PERSUASION,
+            (conflict, practical): ProofDialogueType.SUSPECT_NEGOTIATION,
+            (conflict, provisional): None,
+            (irreconcilable, stable): None,
+            (irreconcilable, practical): None,
+            (irreconcilable, provisional): ProofDialogueType.SUSPECT_ERISTIC,
+            (pupil, stable): ProofDialogueType.PROOF_AS_PEDAGOGICAL,
+            (pupil, practical): None,
+            (pupil, provisional): None,
+            (prover, stable): ProofDialogueType.SUSPECT_INFO_SEEKING,
+            (prover, practical): None,
+            (prover, provisional): None,
+        }
+        cells = {}
         for s in extended_situations():
             for g in MainGoal:
                 try:
-                    defined[(s, g)] = classify_proof_dialogue(s, g)
+                    cells[(s, g)] = classify_proof_dialogue(s, g)
                 except UndefinedCell:
-                    pass
-        assert sorted(t.value for t in defined.values()) \
-            == sorted(t.value for t in ProofDialogueType)
+                    cells[(s, g)] = None
+        assert cells == expected
 
     def test_exactly_four_suspect_rows(self):
         suspect = {t for t in ProofDialogueType if proof_dialogue_row(t).suspect}
