@@ -8,6 +8,7 @@ violations), 2 usage, I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -146,7 +147,11 @@ def cmd_report(args) -> int:
     return _emit(typology.tables_to_json(), args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, and each new one would leave its objects in reference
+    cycles."""
     parser = argparse.ArgumentParser(
         prog="prooftalk",
         description="Validate, diagram and analyze argument markup files.")

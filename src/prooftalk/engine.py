@@ -1,8 +1,12 @@
 """Dialogue replay engine.
 
 Replays move sequences under per-type protocol rules, maintaining one
-commitment store per participant.  States are immutable; apply_move
-returns a fresh state.  Two-participant dialogues only.
+commitment store per participant.  A replay is one mutable fold: it
+keeps each participant's commitments as a proposition -> polarity dict
+and the history as a list, checks every move against them, and freezes
+them into an immutable DialogueState once, at the end or at the first
+violation.  apply_move is the same fold over a single move.
+Two-participant dialogues only.
 """
 
 from __future__ import annotations
@@ -73,14 +77,6 @@ class CommitmentStore:
                 return pol
         return None
 
-    def with_commitment(self, prop: str, polarity: Polarity) -> CommitmentStore:
-        return CommitmentStore(self.owner, self.commitments | {(prop, polarity)})
-
-    def without(self, prop: str) -> CommitmentStore:
-        return CommitmentStore(
-            self.owner,
-            frozenset(c for c in self.commitments if c[0] != prop))
-
 
 class Phase(str, Enum):
     OPEN = "open"
@@ -144,19 +140,15 @@ def new_dialogue(dialogue_type: DialogueType, crucial: str,
         raise StanceMismatch(
             f"{dialogue_type.value} requires {required.value}; stances give {found}")
 
-    stores = []
-    for p in participants:
-        store = CommitmentStore(p.id)
-        if p.initial_stance is Stance.TRUE:
-            store = store.with_commitment(crucial, Polarity.AFFIRMED)
-        elif p.initial_stance is Stance.FALSE:
-            store = store.with_commitment(crucial, Polarity.DENIED)
-        stores.append(store)
+    seeded = {Stance.TRUE: frozenset({(crucial, Polarity.AFFIRMED)}),
+              Stance.FALSE: frozenset({(crucial, Polarity.DENIED)}),
+              Stance.UNKNOWN: frozenset()}
     return DialogueState(
         declared_type=dialogue_type,
         crucial_proposition=crucial,
         participants=tuple(participants),
-        stores=tuple(stores),
+        stores=tuple(CommitmentStore(p.id, seeded[p.initial_stance])
+                     for p in participants),
         settlement=settlement,
     )
 
@@ -181,17 +173,22 @@ def _kind_rule_id(kind: MoveKind, dialogue_type: DialogueType) -> str:
     return f"{kind.value}-move-outside-settlement-dialogue"
 
 
-def _check_move(state: DialogueState, move: Move) -> None:
-    """Raise ProtocolViolation when the move is illegal in the state."""
-    if state.phase is Phase.CLOSED:
+def _check_move(phase: Phase, expected: int, operative: DialogueType,
+                stores: dict[str, dict[str, Polarity]], move: Move) -> None:
+    """Raise ProtocolViolation when the move is illegal.
+
+    The dialogue is seen as its phase, the turn expected next, the
+    operative type and each participant's commitments by proposition.
+    """
+    if phase is Phase.CLOSED:
         raise ProtocolViolation("dialogue-closed",
                                 "no moves after close", move.turn)
-    expected = (state.history[-1].turn + 1) if state.history else 1
     if move.turn != expected:
         raise ProtocolViolation(
             "turn-out-of-order",
             f"expected turn {expected}, got {move.turn}", move.turn)
-    if all(p.id != move.speaker for p in state.participants):
+    own = stores.get(move.speaker)
+    if own is None:
         raise ProtocolViolation("unknown-speaker",
                                 f"no participant '{move.speaker}'", move.turn)
 
@@ -206,81 +203,113 @@ def _check_move(state: DialogueState, move: Move) -> None:
             "subject-not-a-proposition",
             f"{move.kind.value} subject must be a proposition id", move.turn)
 
-    if not kind_allowed(move.kind, state.current_type):
+    if not kind_allowed(move.kind, operative):
         raise ProtocolViolation(
-            _kind_rule_id(move.kind, state.current_type),
-            f"{move.kind.value} is not a {state.current_type.value} move",
-            move.turn)
-
-    own = state.store_of(move.speaker)
-    others = [s for s in state.stores if s.owner != move.speaker]
+            _kind_rule_id(move.kind, operative),
+            f"{move.kind.value} is not a {operative.value} move", move.turn)
 
     if move.kind is MoveKind.ASSERT:
-        if own.polarity_of(move.subject) is Polarity.DENIED:
+        if own.get(move.subject) is Polarity.DENIED:
             raise ProtocolViolation(
                 "conflicting-commitment",
                 f"'{move.speaker}' has denied '{move.subject}'; retract first",
                 move.turn)
     elif move.kind is MoveKind.CHALLENGE:
-        if own.polarity_of(move.subject) is Polarity.AFFIRMED:
+        if own.get(move.subject) is Polarity.AFFIRMED:
             raise ProtocolViolation(
                 "challenge-own-assertion",
                 f"'{move.speaker}' cannot challenge their own commitment to "
                 f"'{move.subject}'", move.turn)
-        if all(s.polarity_of(move.subject) is None for s in others):
+        if all(move.subject not in c
+               for owner, c in stores.items() if owner != move.speaker):
             raise ProtocolViolation(
                 "challenge-uncommitted",
                 f"no other participant is committed to '{move.subject}'",
                 move.turn)
     elif move.kind is MoveKind.CONCEDE:
-        if all(s.polarity_of(move.subject) is not Polarity.AFFIRMED
-               for s in others):
+        if all(c.get(move.subject) is not Polarity.AFFIRMED
+               for owner, c in stores.items() if owner != move.speaker):
             raise ProtocolViolation(
                 "concede-unasserted",
                 f"no other participant has affirmed '{move.subject}'",
                 move.turn)
     elif move.kind is MoveKind.RETRACT:
-        if own.polarity_of(move.subject) is None:
+        if move.subject not in own:
             raise ProtocolViolation(
                 "retract-without-commitment",
                 f"'{move.speaker}' has no commitment to '{move.subject}'",
                 move.turn)
 
 
+def _next_turn(state: DialogueState) -> int:
+    return (state.history[-1].turn + 1) if state.history else 1
+
+
+def _commitments(state: DialogueState) -> dict[str, dict[str, Polarity]]:
+    return {s.owner: dict(s.commitments) for s in state.stores}
+
+
+def _fold(state: DialogueState, moves: tuple[Move, ...],
+          switch_at: dict[int, DialogueType]
+          ) -> tuple[DialogueState, Optional[ProtocolViolation]]:
+    """Play the moves from the state until they run out or one is
+    illegal: the state then, frozen once, and the violation if any.
+
+    `switch_at` maps a turn to the operative type it switches to before
+    that turn's move is checked.
+    """
+    stores = _commitments(state)
+    history = list(state.history)
+    phase, operative = state.phase, state.current_type
+    expected = _next_turn(state)
+    violation = None
+    for move in moves:
+        operative = switch_at.get(move.turn, operative)
+        try:
+            _check_move(phase, expected, operative, stores, move)
+        except ProtocolViolation as exc:
+            violation = exc
+            break
+        history.append(move)
+        expected += 1
+        if move.kind is MoveKind.CLOSE:
+            phase = Phase.CLOSED
+        elif move.kind is MoveKind.DECLARE_SHIFT:
+            operative = move.subject
+        elif move.kind is MoveKind.ASSERT or move.kind is MoveKind.CONCEDE:
+            # Conceding withdraws a standing denial: the speaker gives in.
+            stores[move.speaker][move.subject] = Polarity.AFFIRMED
+        elif move.kind is MoveKind.RETRACT:
+            del stores[move.speaker][move.subject]
+        # challenge/question/offer/threat leave stores unchanged
+    frozen = replace(
+        state, history=tuple(history), phase=phase, current_type=operative,
+        stores=tuple(CommitmentStore(owner, frozenset(c.items()))
+                     for owner, c in stores.items()))
+    return frozen, violation
+
+
 def apply_move(state: DialogueState, move: Move) -> DialogueState:
-    """Pure transition: validate the move and return the successor state."""
-    _check_move(state, move)
-    history = state.history + (move,)
-
-    if move.kind is MoveKind.CLOSE:
-        return replace(state, history=history, phase=Phase.CLOSED)
-    if move.kind is MoveKind.DECLARE_SHIFT:
-        return replace(state, history=history, current_type=move.subject)
-
-    stores = list(state.stores)
-    idx = next(i for i, s in enumerate(stores) if s.owner == move.speaker)
-    if move.kind is MoveKind.ASSERT:
-        stores[idx] = stores[idx].with_commitment(move.subject, Polarity.AFFIRMED)
-    elif move.kind is MoveKind.CONCEDE:
-        # Conceding withdraws a standing denial: the speaker gives in.
-        stores[idx] = stores[idx].without(move.subject).with_commitment(
-            move.subject, Polarity.AFFIRMED)
-    elif move.kind is MoveKind.RETRACT:
-        stores[idx] = stores[idx].without(move.subject)
-    # challenge/question/offer/threat leave stores unchanged
-    return replace(state, history=history, stores=tuple(stores))
+    """Pure transition: validate the move and return the successor
+    state, or raise ProtocolViolation."""
+    successor, violation = _fold(state, (move,), {})
+    if violation is not None:
+        raise violation
+    return successor
 
 
 def legal_moves(state: DialogueState, speaker: str,
                 propositions: Optional[set[str]] = None) -> list[MoveKind]:
     """Move kinds with at least one acceptable instance for the speaker.
 
-    Probes apply_move over the given proposition universe (defaulting to
+    Probes the move check over the given proposition universe (defaulting to
     propositions mentioned so far plus a fresh one, which covers kinds
     whose legality does not depend on prior commitments).
     """
     if state.phase is Phase.CLOSED:
         return []
+    turn = _next_turn(state)
+    view = (state.phase, turn, state.current_type, _commitments(state))
     if propositions is None:
         propositions = {state.crucial_proposition}
         if state.settlement:
@@ -291,7 +320,6 @@ def legal_moves(state: DialogueState, speaker: str,
             if isinstance(m.subject, str):
                 propositions.add(m.subject)
         propositions.add("_fresh")
-    turn = (state.history[-1].turn + 1) if state.history else 1
 
     kinds = []
     for kind in MoveKind:
@@ -299,7 +327,7 @@ def legal_moves(state: DialogueState, speaker: str,
                     else sorted(propositions))
         for subject in subjects:
             try:
-                _check_move(state, Move(turn, speaker, kind, subject))
+                _check_move(*view, Move(turn, speaker, kind, subject))
             except ProtocolViolation:
                 continue
             kinds.append(kind)
@@ -417,22 +445,19 @@ class ReplayResult:
 
 def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
                  segments: list) -> ReplayResult:
-    """Fold apply_move over a move list, stopping at the first violation.
+    """Replay a move list in one fold, stopping at the first violation.
 
     `segments` are the moves' shift segments (`shifts.segment_moves`):
     each undeclared drift switches the operative type before the move
-    that opens it is applied, so a transcript that coherently settles
-    into another dialogue type replays cleanly.
+    that opens it is checked, so a transcript that coherently settles
+    into another dialogue type replays cleanly.  At a violation the
+    state is the one before the offending move, with that turn's drift
+    switch applied.
     """
     switch_at = {s.start_turn: s.operative_type
                  for s in segments[1:] if not s.declared}
-    state = initial
-    for move in moves:
-        if move.turn in switch_at:
-            state = replace(state, current_type=switch_at[move.turn])
-        try:
-            state = apply_move(state, move)
-        except ProtocolViolation as exc:
-            return ReplayResult(state, ViolationInfo(
-                move.turn, exc.rule, str(exc)))
-    return ReplayResult(state)
+    state, violation = _fold(initial, moves, switch_at)
+    if violation is None:
+        return ReplayResult(state)
+    return ReplayResult(state, ViolationInfo(
+        violation.turn, violation.rule, str(violation)))

@@ -167,12 +167,10 @@ class Document:
         default_factory=dict, compare=False, repr=False)
 
 
-_EOF = Token("eof", "<end of input>", SourceSpan(0, 0, 0, 1))
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], end: SourceSpan):
         self.tokens = tokens
+        self.eof = Token("eof", "<end of input>", end)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.doc = Document()
@@ -182,7 +180,7 @@ class _Parser:
         self.pending_refs: list[tuple[str, SourceSpan]] = []
 
     def peek(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else _EOF
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
 
     def next(self) -> Token:
         tok = self.peek()
@@ -547,15 +545,24 @@ class _Parser:
                     span, "declared proposition", pid, "dangling reference"))
 
 
+def _end_span(source: str) -> SourceSpan:
+    """The empty span just past the last character of the source."""
+    line_start = source.rfind("\n") + 1
+    return SourceSpan(source.count("\n") + 1, len(source) - line_start + 1,
+                      len(source), 0)
+
+
 def parse_document(source: str) -> Document:
     """Parse markup text; raises MarkupError listing every recoverable
-    error, the first one earliest in the source."""
-    tokens = tokenize(source)
-    parser = _Parser(tokens)
+    error, the first one earliest in the source.  A span holds at most
+    one error, the first one found there."""
+    parser = _Parser(tokenize(source), _end_span(source))
     doc = parser.parse()
     if parser.errors:
-        raise MarkupError(
-            sorted(parser.errors, key=lambda e: e.span.offset))
+        first: dict[SourceSpan, ParseError] = {}
+        for err in parser.errors:
+            first.setdefault(err.span, err)
+        raise MarkupError(sorted(first.values(), key=lambda e: e.span.offset))
     return doc
 
 

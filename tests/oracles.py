@@ -1,7 +1,9 @@
 """Reference implementations kept for differential tests.
 
 These are the straightforward versions that `prooftalk` replaced with
-linear-time ones, and the character-by-character tokenizer that the
+linear-time ones (among them the dialogue replay that folded
+`apply_move` over immutable states, copying the history and a store at
+every move), and the character-by-character tokenizer that the
 master-regex one replaced.  They define the expected answers: the
 library functions must agree with them on every input the tests
 generate.
@@ -12,7 +14,20 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from prooftalk.engine import ANSWER_WINDOW, DialogueState, MoveKind
+from prooftalk.engine import (
+    ANSWER_WINDOW,
+    CommitmentStore,
+    DialogueState,
+    Move,
+    MoveKind,
+    Phase,
+    Polarity,
+    ProtocolViolation,
+    ReplayResult,
+    ViolationInfo,
+    _kind_rule_id,
+    kind_allowed,
+)
 from prooftalk.markup import KEYWORDS, MarkupError, ParseError, SourceSpan, Token
 from prooftalk.model import (
     ArgumentGraph,
@@ -22,6 +37,7 @@ from prooftalk.model import (
     SlotMismatch,
     _claim_in_slot,
 )
+from prooftalk.typology import DialogueType
 
 
 def has_cycle(links: tuple[Link, ...]) -> bool:
@@ -87,6 +103,130 @@ def unanswered_challenge(state: DialogueState) -> Optional[str]:
         if not any(m.kind is MoveKind.ASSERT for m in responses):
             return move.subject
     return None
+
+
+# Store updates of the reference `apply_move`.
+def with_commitment(store: CommitmentStore, prop: str,
+                    polarity: Polarity) -> CommitmentStore:
+    return CommitmentStore(store.owner, store.commitments | {(prop, polarity)})
+
+
+def without(store: CommitmentStore, prop: str) -> CommitmentStore:
+    return CommitmentStore(
+        store.owner, frozenset(c for c in store.commitments if c[0] != prop))
+
+
+def check_move(state: DialogueState, move: Move) -> None:
+    """Raise ProtocolViolation when the move is illegal in the state."""
+    if state.phase is Phase.CLOSED:
+        raise ProtocolViolation("dialogue-closed",
+                                "no moves after close", move.turn)
+    expected = (state.history[-1].turn + 1) if state.history else 1
+    if move.turn != expected:
+        raise ProtocolViolation(
+            "turn-out-of-order",
+            f"expected turn {expected}, got {move.turn}", move.turn)
+    if all(p.id != move.speaker for p in state.participants):
+        raise ProtocolViolation("unknown-speaker",
+                                f"no participant '{move.speaker}'", move.turn)
+
+    if move.kind is MoveKind.DECLARE_SHIFT:
+        if not isinstance(move.subject, DialogueType):
+            raise ProtocolViolation(
+                "shift-target-not-a-type",
+                "declare_shift subject must be a dialogue type", move.turn)
+        return
+    if not isinstance(move.subject, str):
+        raise ProtocolViolation(
+            "subject-not-a-proposition",
+            f"{move.kind.value} subject must be a proposition id", move.turn)
+
+    if not kind_allowed(move.kind, state.current_type):
+        raise ProtocolViolation(
+            _kind_rule_id(move.kind, state.current_type),
+            f"{move.kind.value} is not a {state.current_type.value} move",
+            move.turn)
+
+    own = state.store_of(move.speaker)
+    others = [s for s in state.stores if s.owner != move.speaker]
+
+    if move.kind is MoveKind.ASSERT:
+        if own.polarity_of(move.subject) is Polarity.DENIED:
+            raise ProtocolViolation(
+                "conflicting-commitment",
+                f"'{move.speaker}' has denied '{move.subject}'; retract first",
+                move.turn)
+    elif move.kind is MoveKind.CHALLENGE:
+        if own.polarity_of(move.subject) is Polarity.AFFIRMED:
+            raise ProtocolViolation(
+                "challenge-own-assertion",
+                f"'{move.speaker}' cannot challenge their own commitment to "
+                f"'{move.subject}'", move.turn)
+        if all(s.polarity_of(move.subject) is None for s in others):
+            raise ProtocolViolation(
+                "challenge-uncommitted",
+                f"no other participant is committed to '{move.subject}'",
+                move.turn)
+    elif move.kind is MoveKind.CONCEDE:
+        if all(s.polarity_of(move.subject) is not Polarity.AFFIRMED
+               for s in others):
+            raise ProtocolViolation(
+                "concede-unasserted",
+                f"no other participant has affirmed '{move.subject}'",
+                move.turn)
+    elif move.kind is MoveKind.RETRACT:
+        if own.polarity_of(move.subject) is None:
+            raise ProtocolViolation(
+                "retract-without-commitment",
+                f"'{move.speaker}' has no commitment to '{move.subject}'",
+                move.turn)
+
+
+def apply_move(state: DialogueState, move: Move) -> DialogueState:
+    """Pure transition: validate the move and return the successor state."""
+    check_move(state, move)
+    history = state.history + (move,)
+
+    if move.kind is MoveKind.CLOSE:
+        return replace(state, history=history, phase=Phase.CLOSED)
+    if move.kind is MoveKind.DECLARE_SHIFT:
+        return replace(state, history=history, current_type=move.subject)
+
+    stores = list(state.stores)
+    idx = next(i for i, s in enumerate(stores) if s.owner == move.speaker)
+    if move.kind is MoveKind.ASSERT:
+        stores[idx] = with_commitment(stores[idx], move.subject, Polarity.AFFIRMED)
+    elif move.kind is MoveKind.CONCEDE:
+        # Conceding withdraws a standing denial: the speaker gives in.
+        stores[idx] = with_commitment(without(stores[idx], move.subject),
+                                      move.subject, Polarity.AFFIRMED)
+    elif move.kind is MoveKind.RETRACT:
+        stores[idx] = without(stores[idx], move.subject)
+    # challenge/question/offer/threat leave stores unchanged
+    return replace(state, history=history, stores=tuple(stores))
+
+
+def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
+                 segments: list) -> ReplayResult:
+    """Fold apply_move over a move list, stopping at the first violation.
+
+    `segments` are the moves' shift segments (`shifts.segment_moves`):
+    each undeclared drift switches the operative type before the move
+    that opens it is applied, so a transcript that coherently settles
+    into another dialogue type replays cleanly.
+    """
+    switch_at = {s.start_turn: s.operative_type
+                 for s in segments[1:] if not s.declared}
+    state = initial
+    for move in moves:
+        if move.turn in switch_at:
+            state = replace(state, current_type=switch_at[move.turn])
+        try:
+            state = apply_move(state, move)
+        except ProtocolViolation as exc:
+            return ReplayResult(state, ViolationInfo(
+                move.turn, exc.rule, str(exc)))
+    return ReplayResult(state)
 
 
 _DIGITS = frozenset("0123456789")

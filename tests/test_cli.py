@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -281,3 +282,24 @@ class TestReport:
         assert set(doc) == {"dialogue_types", "profiles", "proof_dialogues"}
         assert doc["profiles"]["negotiation"]["collective_goal"] \
             == "Settlement (without undue inequity)"
+
+    def test_later_calls_leave_no_parser_in_reference_cycles(self, tmp_path):
+        # The argparse parser is built once per process.  The indenting
+        # JSON encoder of the standard library still leaves its own
+        # closures in a cycle on every call, so only argparse objects
+        # are counted.
+        out = str(tmp_path / "tables.json")
+        assert main(["report", "--out", out]) == EXIT_OK
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["report", "--out", out]) == EXIT_OK
+            gc.collect()
+            cyclic = [type(o).__name__ for o in gc.garbage
+                      if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []

@@ -1,7 +1,7 @@
-"""The linear-time cycle, link and challenge checks and the regex
-tokenizer agree with the reference versions in `oracles`, and the CLI
-output on the shipped corpus matches the recorded golden output byte
-for byte."""
+"""The linear-time cycle, link and challenge checks, the dialogue
+replay fold and the regex tokenizer agree with the reference versions in
+`oracles`, and the CLI output on the shipped corpus matches the recorded
+golden output byte for byte."""
 
 import json
 from pathlib import Path
@@ -11,8 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from prooftalk.cli import fixture_paths, main
-from prooftalk.engine import DialogueState, Move, MoveKind, _unanswered_challenge
-from prooftalk.markup import MarkupError, tokenize
+from prooftalk.engine import (
+    DialogueState,
+    Move,
+    MoveKind,
+    Participant,
+    ProtocolViolation,
+    Role,
+    StanceMismatch,
+    _unanswered_challenge,
+    apply_move,
+    new_dialogue,
+    replay_moves,
+)
+from prooftalk.markup import MarkupError, parse_document, tokenize
 from prooftalk.model import (
     ArgumentGraph,
     CycleError,
@@ -24,7 +36,8 @@ from prooftalk.model import (
     _has_cycle,
     add_link,
 )
-from prooftalk.typology import DialogueType
+from prooftalk.shifts import Segment, segment_moves
+from prooftalk.typology import DialogueType, Stance
 
 N_ARGS = 6
 nodes = st.integers(0, N_ARGS - 1)
@@ -109,6 +122,141 @@ moves = st.builds(
 def test_unanswered_challenge_matches_reference(history):
     state = DialogueState(DialogueType.PERSUASION, "p", (), (), history)
     assert _unanswered_challenge(state) == oracles.unanswered_challenge(state)
+
+
+def applied(apply, state, move):
+    try:
+        return apply(state, move)
+    except ProtocolViolation as exc:
+        return exc.turn, exc.rule, str(exc)
+
+
+def _opening(dialogue_type, a, b):
+    try:
+        return new_dialogue(dialogue_type, "p", (
+            Participant("alice", Role.PROVER, a),
+            Participant("bob", Role.INTERLOCUTOR, b)), settlement="q")
+    except StanceMismatch:
+        return None
+
+
+# Every dialogue type with the openings whose stances give rise to it.
+OPENINGS = {t: [state for a in Stance for b in Stance
+                if (state := _opening(t, a, b)) is not None]
+            for t in DialogueType}
+PROPS = ["p", "q", "r"]
+SUBJECTS = ["p"] * 4 + PROPS + [DialogueType.INQUIRY, None]
+SHIFT_TARGETS = list(DialogueType) + ["p"] * 4
+
+
+def subjects(kind, faulty):
+    if kind is MoveKind.DECLARE_SHIFT:
+        return SHIFT_TARGETS if faulty else list(DialogueType)
+    return SUBJECTS if faulty else PROPS
+
+
+def legal_in_reference(state, move):
+    try:
+        oracles.check_move(state, move)
+    except ProtocolViolation:
+        return False
+    return True
+
+
+@st.composite
+def transcripts(draw):
+    """A two-party opening and a transcript whose moves are mostly legal
+    in the reference fold, so that it runs long.  Now and then a random
+    move may close the dialogue or break a rule: a turn out of order, an
+    unknown speaker, a shift to a proposition, a move about no
+    proposition, a kind the operative type forbids, a conflicting or
+    missing commitment, a move after close.  Shifts are declared, and a
+    kind the declared type forbids may open a drift."""
+    dialogue_type = draw(st.sampled_from(DialogueType))
+    initial = state = draw(st.sampled_from(OPENINGS[dialogue_type]))
+    moves = []
+    for _ in range(draw(st.integers(0, 30))):
+        turn = len(state.history) + 1
+        speaker = draw(st.sampled_from(["alice", "bob"]))
+        legal = [move for move in (
+            Move(turn, speaker, kind, subject)
+            for kind in MoveKind if kind is not MoveKind.CLOSE
+            for subject in subjects(kind, False))
+            if legal_in_reference(state, move)]
+        if legal and draw(st.integers(0, 7)):
+            move = draw(st.sampled_from(legal))
+        else:
+            kind = draw(st.sampled_from(MoveKind))
+            move = Move(turn + draw(st.sampled_from([0] * 10 + [-1, 1])),
+                        draw(st.sampled_from([speaker] * 8 + ["carol"])),
+                        kind, draw(st.sampled_from(subjects(kind, True))))
+        moves.append(move)
+        if legal_in_reference(state, move):
+            state = oracles.apply_move(state, move)
+    return initial, tuple(moves)
+
+
+@st.composite
+def replay_inputs(draw):
+    """A transcript with its own segments, or with drift switches
+    anywhere, at a violating turn among them."""
+    initial, moves = draw(transcripts())
+    drifts = st.lists(st.builds(
+        lambda turn, t, declared: Segment(turn, turn, t, declared),
+        st.integers(1, len(moves) + 1), st.sampled_from(DialogueType),
+        st.booleans()), max_size=4)
+    first = [Segment(1, 1, initial.declared_type, False)]
+    segments = draw(st.one_of(
+        st.just(segment_moves(moves, initial.declared_type)),
+        drifts.map(lambda d: first + d)))
+    return initial, moves, segments
+
+
+def assert_apply_move_matches_reference(initial, moves):
+    """Compare apply_move at each state of the reference fold, with the
+    move as written and renumbered to the turn due, and go on from the
+    state that one of them reaches."""
+    state = initial
+    for move in moves:
+        due = Move(len(state.history) + 1, move.speaker, move.kind,
+                   move.subject)
+        for probe in (move, due):
+            want = applied(oracles.apply_move, state, probe)
+            assert applied(apply_move, state, probe) == want
+            if isinstance(want, DialogueState):
+                state = want
+                break
+
+
+@settings(max_examples=300)
+@given(replay_inputs())
+def test_replay_moves_matches_reference(case):
+    initial, moves, segments = case
+    assert replay_moves(initial, moves, segments) == \
+        oracles.replay_moves(initial, moves, segments)
+
+
+@settings(max_examples=200)
+@given(transcripts())
+def test_apply_move_matches_reference(case):
+    assert_apply_move_matches_reference(*case)
+
+
+def fixture_dialogues():
+    for path in fixture_paths():
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        for decl in doc.dialogues.values():
+            yield pytest.param(decl, id=f"{path.stem}:{decl.name}")
+
+
+@pytest.mark.parametrize("decl", fixture_dialogues())
+def test_replay_matches_reference_on_fixtures(decl):
+    initial = new_dialogue(decl.declared_type, decl.crucial,
+                           decl.participants, decl.settlement)
+    segments = segment_moves(decl.moves, decl.declared_type)
+    assert replay_moves(initial, decl.moves, segments) == \
+        oracles.replay_moves(initial, decl.moves, segments)
+    assert_apply_move_matches_reference(initial, decl.moves)
 
 
 def lexed(lex, source):

@@ -44,8 +44,13 @@ documents = st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("\n".join)
 def test_parse_returns_document_or_raises_markup_error(text):
     try:
         assert isinstance(parse_document(text), Document)
-    except MarkupError:
-        pass
+    except MarkupError as exc:
+        # Located in the source, earliest first, one per span.
+        spans = [e.span for e in exc.errors]
+        assert all(s.line >= 1 and s.column >= 1 and s.offset <= len(text)
+                   for s in spans)
+        assert [s.offset for s in spans] == sorted(s.offset for s in spans)
+        assert len(set(spans)) == len(spans)
 
 
 @settings(max_examples=100, deadline=None,

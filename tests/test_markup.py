@@ -126,6 +126,40 @@ class TestParseDocument:
         assert len(errors) >= 2
         assert errors[0].span.offset <= min(e.span.offset for e in errors)
 
+    @pytest.mark.parametrize("src, line, column", [
+        ('argument "a" {\n  claim c: "C"\n', 3, 1),
+        ('argument "a" {\n  claim c: "C"', 2, 15),
+        ('dialogue "d" {\r\n\ttype: inquiry  # open', 2, 23),
+    ])
+    def test_end_of_input_error_at_the_end(self, src, line, column):
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        last = exc.value.errors[-1]
+        assert last.found == "<end of input>"
+        assert (last.span.line, last.span.column, last.span.offset,
+                last.span.length) == (line, column, len(src), 0)
+
+    def test_end_of_input_error_sorts_after_earlier_ones_once(self):
+        # The unclosed block is one error, at the end and after the
+        # missing colon.
+        src = 'prop p: "P"\nargument "a" { data d "x"\n  claim c: "C"\n'
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        assert [(e.span.line, e.span.column, e.message)
+                for e in exc.value.errors] == [
+            (2, 23, "expected colon, found x"),
+            (4, 1, "expected '}', found <end of input>")]
+
+    def test_one_error_per_span(self):
+        # The token after the missing colon is no slot keyword either;
+        # only the first error there is reported.
+        src = 'argument "a" {\n  data d: "D"\n  warrant w "W"\n}\n'
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        assert [(e.span.line, e.span.column, e.message)
+                for e in exc.value.errors] == [
+            (3, 13, "expected colon, found W")]
+
     def test_dialogue_participants_roles_and_stances(self, corpus):
         decl = corpus["wiles_attempt"][1].dialogues["wiles_persuasion"]
         assert decl.participants[0] == Participant(
