@@ -75,8 +75,7 @@ def cmd_validate(args) -> int:
             continue
         diagnostics = validate_graph(doc.graph)
         for diag in diagnostics:
-            span = (doc.block_spans.get(f"argument:{diag.argument}")
-                    if diag.argument is not None else None)
+            span = doc.argument_spans.get(diag.argument)
             line, col = (span.line, span.column) if span else (1, 1)
             print(f"{path}:{line}:{col}: {diag.severity.value}: {diag.message}")
         if any(d.severity is Severity.ERROR for d in diagnostics):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -59,25 +59,21 @@ class MarkupError(Exception):
             + (f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""))
 
 
-KEYWORDS = frozenset({
-    "version", "prop", "argument", "dialogue", "proof",
-    "data", "warrant", "claim", "backing", "qualifier", "rebuttal", "uses",
-    "type", "participants", "stance", "settlement", "move", "dialogues",
-    "assert", "challenge", "question", "concede", "retract", "offer",
-    "threat", "declare_shift", "close",
-})
+# The words that open a top-level block, and the entry words of argument
+# and dialogue blocks.
+_BLOCK_WORDS = ("prop", "argument", "dialogue", "proof")
+_ARGUMENT_SLOTS = frozenset({
+    "data", "warrant", "backing", "qualifier", "rebuttal", "claim", "uses"})
+_DIALOGUE_ENTRIES = frozenset({
+    "type", "participants", "stance", "settlement", "move"})
 
-QUALIFIER_WORDS = {
-    "necessarily": QualifierKind.NECESSARILY,
-    "almost_certainly": QualifierKind.ALMOST_CERTAINLY,
-    "probably": QualifierKind.PROBABLY,
-    "presumably": QualifierKind.PRESUMABLY,
-}
-_QUALIFIER_KEYWORD = {v: k for k, v in QUALIFIER_WORDS.items()}
-
+QUALIFIER_WORDS = {k.value: k for k in QualifierKind}
 TYPE_WORDS = {t.value: t for t in DialogueType}
 STANCE_WORDS = {s.value: s for s in Stance}
 MOVE_WORDS = {k.value: k for k in MoveKind}
+
+KEYWORDS = frozenset({"version", *_BLOCK_WORDS, "dialogues", *_ARGUMENT_SLOTS,
+                      *_DIALOGUE_ENTRIES, *MOVE_WORDS})
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,10 @@ def tokenize(source: str) -> list[Token]:
         counted, pos = start, m.end()
         column = start - line_start + 1
         if kind == "badstring" and pos < len(source):
+            fault = source[start:pos + 2]  # the escape may end the input
             raise MarkupError([ParseError(
-                SourceSpan(line, column, start, pos + 2 - start), "string",
-                source[start:pos + 2], "illegal escape sequence")])
+                SourceSpan(line, column, start, len(fault)), "string", fault,
+                "illegal escape sequence")])
         if kind == "badstring":
             raise MarkupError([ParseError(
                 SourceSpan(line, column, start, 1), "closing quote",
@@ -163,14 +160,15 @@ class Document:
     graph: ArgumentGraph = field(default_factory=ArgumentGraph)
     dialogues: dict[str, DialogueDecl] = field(default_factory=dict)
     proofs: dict[str, ProofDecl] = field(default_factory=dict)
-    block_spans: dict[str, SourceSpan] = field(
+    # Span of each argument block's keyword, by argument name.
+    argument_spans: dict[str, SourceSpan] = field(
         default_factory=dict, compare=False, repr=False)
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], end: SourceSpan):
+        tokens.append(Token("eof", "<end of input>", end))
         self.tokens = tokens
-        self.eof = Token("eof", "<end of input>", end)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.doc = Document()
@@ -180,19 +178,18 @@ class _Parser:
         self.pending_refs: list[tuple[str, SourceSpan]] = []
 
     def peek(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if self.pos < len(self.tokens):
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def error(self, expected: str, tok: Optional[Token] = None,
               hint: Optional[str] = None) -> None:
         tok = tok or self.peek()
-        found = tok.value if tok.kind != "eof" else "<end of input>"
-        self.errors.append(ParseError(tok.span, expected, found, hint))
+        self.errors.append(ParseError(tok.span, expected, tok.value, hint))
 
     def expect(self, kind: str, expected: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -202,12 +199,21 @@ class _Parser:
         return None
 
     def expect_kw(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.value == word:
+        if self.at_kw(word):
             self.next()
             return True
         self.error(f"'{word}'")
         return False
+
+    def lookup(self, table: dict, expected: str):
+        """The next word's entry in the table, or None after an error.
+        Type, stance and qualifier words are identifiers; move kinds are
+        keywords."""
+        tok = self.next()
+        if tok.kind in ("ident", "keyword") and tok.value in table:
+            return table[tok.value]
+        self.error(expected, tok)
+        return None
 
     def ident_list(self, expected: str) -> list[Token]:
         """A comma-separated identifier list; missing entries are errors."""
@@ -227,7 +233,7 @@ class _Parser:
         depth = 0
         while self.peek().kind != "eof":
             tok = self.peek()
-            if depth == 0 and self.at_kw("prop", "argument", "dialogue", "proof"):
+            if depth == 0 and self.at_kw(*_BLOCK_WORDS):
                 return
             self.next()
             if tok.kind == "lbrace":
@@ -237,16 +243,48 @@ class _Parser:
                 if depth <= 0:
                     return
 
-    # --- propositions ------------------------------------------------
+    def open_block(self, what: str) -> Optional[tuple[Token, Token]]:
+        """`keyword "name" {`: the keyword and name tokens, or None after
+        skipping a malformed block."""
+        kw = self.next()
+        name = self.expect("string", f"{what} name")
+        if name is None or not self.expect("lbrace"):
+            self.skip_block()
+            return None
+        return kw, name
 
-    def declare_prop(self, pid: str, text: str, span: SourceSpan) -> None:
+    def entries(self, expected: str, words: frozenset[str]) -> Iterator[Token]:
+        """Each entry keyword of a block body, through its closing `}`;
+        any other token is reported and skipped."""
+        while True:
+            tok = self.next()
+            if tok.kind == "rbrace":
+                return
+            if tok.kind == "eof":
+                self.error("'}'", tok)
+                return
+            if tok.kind == "keyword" and tok.value in words:
+                yield tok
+            else:
+                self.error(expected, tok)
+
+    def named_prop(self) -> Optional[str]:
+        """`id: "text"`, declaring the proposition: its id, or None."""
+        ident = self.expect("ident", "proposition id")
+        if ident is None or not self.expect("colon"):
+            return None
+        text = self.expect("string", "proposition text")
+        if text is None:
+            return None
+        pid = ident.value
         existing = self.doc.graph.propositions.get(pid)
         if existing is None:
-            self.doc.graph.propositions[pid] = Proposition(pid, text)
-        elif existing.text != text:
+            self.doc.graph.propositions[pid] = Proposition(pid, text.value)
+        elif existing.text != text.value:
             self.errors.append(ParseError(
-                span, "fresh proposition id", pid,
+                ident.span, "fresh proposition id", pid,
                 "duplicate id with conflicting text"))
+        return pid
 
     # --- top level ---------------------------------------------------
 
@@ -255,14 +293,8 @@ class _Parser:
             self.next()
             self.expect("int", "version number")
         while self.peek().kind != "eof":
-            if self.at_kw("prop"):
-                self.parse_prop()
-            elif self.at_kw("argument"):
-                self.parse_argument()
-            elif self.at_kw("dialogue"):
-                self.parse_dialogue()
-            elif self.at_kw("proof"):
-                self.parse_proof()
+            if self.at_kw(*_BLOCK_WORDS):
+                getattr(self, "parse_" + self.peek().value)()
             else:
                 self.error("'prop', 'argument', 'dialogue' or 'proof'")
                 self.skip_block()
@@ -272,111 +304,64 @@ class _Parser:
 
     def parse_prop(self) -> None:
         self.next()  # prop
-        ident = self.expect("ident", "proposition id")
-        if not self.expect("colon") or ident is None:
+        if self.named_prop() is None:
             self.skip_block()
-            return
-        text = self.expect("string", "proposition text")
-        if text is None:
-            self.skip_block()
-            return
-        self.declare_prop(ident.value, text.value, ident.span)
 
     # --- argument blocks ---------------------------------------------
 
     def parse_argument(self) -> None:
-        kw = self.next()  # argument
-        name = self.expect("string", "argument name")
-        if name is None or not self.expect("lbrace"):
-            self.skip_block()
+        block = self.open_block("argument")
+        if block is None:
             return
+        kw, name = block
         if name.value in self.doc.graph.arguments:
             self.error("fresh argument name", name, "duplicate argument")
-        data: list[str] = []
-        rebuttals: list[str] = []
-        warrant = claim = backing = None
+        repeated: dict[str, list[str]] = {"data": [], "rebuttal": []}
+        single: dict[str, Optional[str]] = dict.fromkeys(
+            ("warrant", "backing", "claim"))
         qualifier: Optional[Qualifier] = None
-
-        def named_slot() -> Optional[str]:
-            ident = self.expect("ident", "proposition id")
-            if ident is None or not self.expect("colon"):
-                return None
-            text = self.expect("string", "proposition text")
-            if text is None:
-                return None
-            self.declare_prop(ident.value, text.value, ident.span)
-            return ident.value
-
-        while not self.peek().kind == "rbrace":
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("'}'")
-                break
-            if self.at_kw("data"):
-                self.next()
-                pid = named_slot()
-                if pid is not None:
-                    data.append(pid)
-            elif self.at_kw("rebuttal"):
-                self.next()
-                pid = named_slot()
-                if pid is not None:
-                    rebuttals.append(pid)
-            elif self.at_kw("warrant"):
-                self.next()
-                warrant = named_slot() or warrant
-            elif self.at_kw("backing"):
-                self.next()
-                backing = named_slot() or backing
-            elif self.at_kw("claim"):
-                self.next()
-                claim = named_slot() or claim
-            elif self.at_kw("qualifier"):
-                self.next()
+        for entry in self.entries("argument slot keyword", _ARGUMENT_SLOTS):
+            if entry.value == "qualifier":
                 if self.expect("colon"):
                     qualifier = self.parse_qualifier() or qualifier
-            elif self.at_kw("uses"):
-                self.next()
+            elif entry.value == "uses":
                 ident = self.expect("ident", "slot proposition id")
                 if ident and self.expect("arrow") and self.expect_kw("argument"):
                     src = self.expect("string", "argument name")
                     if src:
                         self.uses.append(
                             (ident.value, src.value, name.value, ident.span))
-            else:
-                self.error("argument slot keyword", tok)
-                self.next()
-        self.expect("rbrace")
+            elif (pid := self.named_prop()) is not None:
+                if entry.value in repeated:
+                    repeated[entry.value].append(pid)
+                else:
+                    single[entry.value] = pid
         self.doc.graph.arguments[name.value] = ToulminArgument(
-            id=name.value, data=tuple(data), warrant=warrant, claim=claim,
-            backing=backing, qualifier=qualifier, rebuttals=tuple(rebuttals))
-        self.doc.block_spans[f"argument:{name.value}"] = kw.span
+            name.value, tuple(repeated["data"]), qualifier=qualifier,
+            rebuttals=tuple(repeated["rebuttal"]), **single)
+        self.doc.argument_spans[name.value] = kw.span
 
     def parse_qualifier(self) -> Optional[Qualifier]:
-        tok = self.next()
-        if tok.kind == "ident" and tok.value in QUALIFIER_WORDS:
-            return Qualifier(QUALIFIER_WORDS[tok.value])
-        if tok.kind == "ident" and tok.value == "custom":
-            label = self.expect("string", "custom qualifier label")
-            if label is None:
-                return None
-            if not label.value:
-                self.errors.append(ParseError(
-                    label.span, "custom qualifier label", '""',
-                    "a custom label must be non-empty"))
-                return None
-            return Qualifier(QualifierKind.CUSTOM, label.value)
-        self.error("qualifier keyword", tok)
-        return None
+        kind = self.lookup(QUALIFIER_WORDS, "qualifier keyword")
+        if kind is not QualifierKind.CUSTOM:
+            return None if kind is None else Qualifier(kind)
+        label = self.expect("string", "custom qualifier label")
+        if label is None:
+            return None
+        if not label.value:
+            self.errors.append(ParseError(
+                label.span, "custom qualifier label", '""',
+                "a custom label must be non-empty"))
+            return None
+        return Qualifier(kind, label.value)
 
     # --- dialogue blocks ---------------------------------------------
 
     def parse_dialogue(self) -> None:
-        kw = self.next()  # dialogue
-        name = self.expect("string", "dialogue name")
-        if name is None or not self.expect("lbrace"):
-            self.skip_block()
+        block = self.open_block("dialogue")
+        if block is None:
             return
+        _, name = block
         if name.value in self.doc.dialogues:
             self.error("fresh dialogue name", name, "duplicate dialogue")
 
@@ -388,67 +373,49 @@ class _Parser:
         settlement: Optional[str] = None
         moves: list[Move] = []
 
-        while self.peek().kind != "rbrace":
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("'}'")
-                break
-            if self.at_kw("type"):
-                self.next()
+        for entry in self.entries("dialogue entry keyword", _DIALOGUE_ENTRIES):
+            if entry.value == "type":
                 if self.expect("colon"):
-                    t = self.next()
-                    if t.kind == "ident" and t.value in TYPE_WORDS:
-                        declared_type = TYPE_WORDS[t.value]
-                    else:
-                        self.error("dialogue type name", t)
-            elif self.at_kw("participants"):
-                order_tok = self.next()
+                    declared_type = (self.lookup(TYPE_WORDS, "dialogue type name")
+                                     or declared_type)
+            elif entry.value == "participants":
+                order_tok = entry
                 if self.expect("colon"):
                     for ident in self.ident_list("participant id"):
                         if ident.value in order:
                             self.error("fresh participant id", ident,
                                        "duplicate participant")
                         order.append(ident.value)
-            elif self.at_kw("stance"):
-                self.next()
+            elif entry.value == "stance":
                 pid = self.expect("ident", "participant id")
                 prop = self.expect("ident", "proposition id")
-                if pid and prop and self.expect("colon"):
-                    v = self.next()
-                    if v.kind == "ident" and v.value in STANCE_WORDS:
-                        stances[pid.value] = STANCE_WORDS[v.value]
-                    else:
-                        self.error("'true', 'false' or 'unknown'", v)
-                        continue
-                    if crucial is not None and crucial != prop.value:
-                        self.error("the crucial proposition", prop,
-                                   "stance lines must share one proposition")
-                    else:
-                        crucial = prop.value
-                        self.pending_refs.append((prop.value, prop.span))
-            elif self.at_kw("settlement"):
-                self.next()
+                if not (pid and prop and self.expect("colon")):
+                    continue
+                stance = self.lookup(STANCE_WORDS, "'true', 'false' or 'unknown'")
+                if stance is None:
+                    continue
+                stances[pid.value] = stance
+                if crucial is not None and crucial != prop.value:
+                    self.error("the crucial proposition", prop,
+                               "stance lines must share one proposition")
+                else:
+                    crucial = prop.value
+                    self.pending_refs.append((prop.value, prop.span))
+            elif entry.value == "settlement":
                 ident = self.expect("ident", "proposition id")
                 if ident:
                     settlement = ident.value
                     self.pending_refs.append((ident.value, ident.span))
-            elif self.at_kw("move"):
-                self.next()
+            else:  # move
                 turn = self.expect("int", "turn number")
                 speaker = self.expect("ident", "speaker id")
-                kind_tok = self.next()
-                if kind_tok.kind != "keyword" or kind_tok.value not in MOVE_WORDS:
-                    self.error("move kind", kind_tok)
+                kind = self.lookup(MOVE_WORDS, "move kind")
+                if kind is None:
                     continue
-                kind = MOVE_WORDS[kind_tok.value]
-                subj_tok = self.next()
                 subject: Union[str, DialogueType, None] = None
                 if kind is MoveKind.DECLARE_SHIFT:
-                    if subj_tok.kind == "ident" and subj_tok.value in TYPE_WORDS:
-                        subject = TYPE_WORDS[subj_tok.value]
-                    else:
-                        self.error("dialogue type name", subj_tok)
-                elif subj_tok.kind == "ident":
+                    subject = self.lookup(TYPE_WORDS, "dialogue type name")
+                elif (subj_tok := self.next()).kind == "ident":
                     subject = subj_tok.value
                     self.pending_refs.append((subj_tok.value, subj_tok.span))
                 else:
@@ -456,10 +423,6 @@ class _Parser:
                 if turn and speaker and subject is not None:
                     moves.append(Move(int(turn.value), speaker.value,
                                       kind, subject))
-            else:
-                self.error("dialogue entry keyword", tok)
-                self.next()
-        self.expect("rbrace")
 
         if declared_type is None:
             self.error("'type' declaration in dialogue block", name)
@@ -483,16 +446,14 @@ class _Parser:
         self.doc.dialogues[name.value] = DialogueDecl(
             name.value, declared_type, participants, crucial, settlement,
             tuple(moves))
-        self.doc.block_spans[f"dialogue:{name.value}"] = kw.span
 
     # --- proof blocks ------------------------------------------------
 
     def parse_proof(self) -> None:
-        kw = self.next()  # proof
-        name = self.expect("string", "proof name")
-        if name is None or not self.expect("lbrace"):
-            self.skip_block()
+        block = self.open_block("proof")
+        if block is None:
             return
+        kw, name = block
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
             names = [ident.value for ident in self.ident_list("dialogue name")]
@@ -503,14 +464,13 @@ class _Parser:
                            f"proof '{name.value}' references unknown "
                            f"dialogue '{n}'")
         self.doc.proofs[name.value] = ProofDecl(name.value, tuple(names))
-        self.doc.block_spans[f"proof:{name.value}"] = kw.span
 
     # --- resolution --------------------------------------------------
 
     def resolve_uses(self) -> None:
-        links = set(self.doc.graph.links)
+        graph = self.doc.graph
+        links: set[Link] = set()
         for slot_id, src, target, span in self.uses:
-            graph = self.doc.graph
             if src not in graph.arguments:
                 self.errors.append(ParseError(
                     span, "declared argument", src, "unknown source argument"))
@@ -531,11 +491,11 @@ class _Parser:
                     "source claim does not match the slot"))
                 continue
             links.add(Link(src, target, role))
-        self.doc.graph.links = tuple(sorted(links, key=_LINK_ORDER))
-        if _has_cycle(self.doc.graph.links):
-            anchor = self.uses[-1][3] if self.uses else SourceSpan(1, 1, 0, 1)
+        graph.links = tuple(sorted(links, key=_LINK_ORDER))
+        if _has_cycle(graph.links):
+            # A cycle needs links, so there is a `uses` line to anchor it.
             self.errors.append(ParseError(
-                anchor, "acyclic support links", "uses",
+                self.uses[-1][3], "acyclic support links", "uses",
                 "support cycle between arguments"))
 
     def resolve_refs(self) -> None:
@@ -596,6 +556,10 @@ def serialize(doc: Document) -> str:
     def text_of(pid: str) -> str:
         return _quote(graph.propositions[pid].text)
 
+    uses: dict[str, list[Link]] = {}
+    for link in sorted(graph.links, key=_LINK_ORDER):
+        uses.setdefault(link.target, []).append(link)
+
     for aid in sorted(graph.arguments):
         arg = graph.arguments[aid]
         if lines:
@@ -608,19 +572,17 @@ def serialize(doc: Document) -> str:
         if arg.backing is not None:
             lines.append(f"  backing {arg.backing}: {text_of(arg.backing)}")
         if arg.qualifier is not None:
-            if arg.qualifier.kind is QualifierKind.CUSTOM:
-                lines.append(f"  qualifier: custom {_quote(arg.qualifier.label)}")
-            else:
-                lines.append(
-                    f"  qualifier: {_QUALIFIER_KEYWORD[arg.qualifier.kind]}")
+            kind = arg.qualifier.kind
+            lines.append(f"  qualifier: {kind.value}" + (
+                f" {_quote(arg.qualifier.label)}"
+                if kind is QualifierKind.CUSTOM else ""))
         for r in arg.rebuttals:
             lines.append(f"  rebuttal {r}: {text_of(r)}")
         if arg.claim is not None:
             lines.append(f"  claim {arg.claim}: {text_of(arg.claim)}")
-        for link in sorted(graph.links):
-            if link.target == aid:
-                slot = graph.arguments[link.source].claim
-                lines.append(f"  uses {slot} <- argument {_quote(link.source)}")
+        for link in uses.get(aid, ()):
+            slot = graph.arguments[link.source].claim
+            lines.append(f"  uses {slot} <- argument {_quote(link.source)}")
         lines.append("}")
 
     for dname in sorted(doc.dialogues):

@@ -52,8 +52,6 @@ class InitialSituation:
 class NoDispute:
     """Both parties already agree; no dialogue arises."""
 
-    agreed_value: Stance = Stance.TRUE
-
 
 class MainGoal(str, Enum):
     STABLE_RESOLUTION = "stable_resolution"
@@ -86,7 +84,7 @@ def infer_initial_situation(
     committed party as the potential source.
     """
     if a == b and a is not Stance.UNKNOWN:
-        return NoDispute(agreed_value=a)
+        return NoDispute()
     if Stance.UNKNOWN not in (a, b):
         return InitialSituation(SituationKind.CONFLICT)
     if a is Stance.UNKNOWN and b is Stance.UNKNOWN:
@@ -123,7 +121,6 @@ def classify_dialogue(s: InitialSituation, g: MainGoal) -> DialogueType:
 
 @dataclass(frozen=True)
 class DialogueProfile:
-    dialogue_type: DialogueType
     initial_situation_text: str
     individual_goals_text: str
     collective_goal_text: str
@@ -134,31 +131,31 @@ class DialogueProfile:
 # the apparently typographical Pedagogical benefit "Reserve transfer".
 _TABLE2: dict[DialogueType, DialogueProfile] = {
     DialogueType.PERSUASION: DialogueProfile(
-        DialogueType.PERSUASION, "Difference of opinion", "Persuade other party",
+        "Difference of opinion", "Persuade other party",
         "Resolve difference of opinion", "Understand positions"),
     DialogueType.INQUIRY: DialogueProfile(
-        DialogueType.INQUIRY, "Ignorance", "Contribute findings",
+        "Ignorance", "Contribute findings",
         "Prove or disprove conjecture", "Obtain knowledge"),
     DialogueType.DELIBERATION: DialogueProfile(
-        DialogueType.DELIBERATION, "Contemplation of future consequences",
+        "Contemplation of future consequences",
         "Promote personal goals", "Act on a thoughtful basis",
         "Formulate personal priorities"),
     DialogueType.NEGOTIATION: DialogueProfile(
-        DialogueType.NEGOTIATION, "Conflict of interest",
+        "Conflict of interest",
         "Maximize gains (self-interest)", "Settlement (without undue inequity)",
         "Harmony"),
     DialogueType.INFORMATION_SEEKING: DialogueProfile(
-        DialogueType.INFORMATION_SEEKING, "One party lacks information",
+        "One party lacks information",
         "Obtain information", "Transfer of knowledge", "Help in goal activity"),
     DialogueType.ERISTIC: DialogueProfile(
-        DialogueType.ERISTIC, "Personal conflict",
+        "Personal conflict",
         "Verbally hit out at and humiliate opponent", "Reveal deeper conflict",
         "Vent emotions"),
     DialogueType.DEBATE: DialogueProfile(
-        DialogueType.DEBATE, "Adversarial", "Persuade third party",
+        "Adversarial", "Persuade third party",
         "Air strongest arguments for both sides", "Spread information"),
     DialogueType.PEDAGOGICAL: DialogueProfile(
-        DialogueType.PEDAGOGICAL, "Ignorance of one party", "Teaching and learning",
+        "Ignorance of one party", "Teaching and learning",
         "Transfer of knowledge", "Reserve transfer"),
 }
 
@@ -179,7 +176,6 @@ class ProofDialogueType(str, Enum):
 
 @dataclass(frozen=True)
 class ProofDialogueRow:
-    variant: ProofDialogueType
     suspect: bool
     initial_situation_text: str
     main_goal_text: str
@@ -189,32 +185,29 @@ class ProofDialogueRow:
 
 _TABLE3: dict[ProofDialogueType, ProofDialogueRow] = {
     ProofDialogueType.PROOF_AS_INQUIRY: ProofDialogueRow(
-        ProofDialogueType.PROOF_AS_INQUIRY, False, "Open-mindedness",
+        False, "Open-mindedness",
         "Prove or disprove conjecture", "Contribute to outcome",
         "Obtain knowledge"),
     ProofDialogueType.PROOF_AS_PERSUASION: ProofDialogueRow(
-        ProofDialogueType.PROOF_AS_PERSUASION, False, "Difference of opinion",
+        False, "Difference of opinion",
         "Resolve difference of opinion with rigour", "Persuade interlocutor",
         "Persuade prover"),
     ProofDialogueType.PROOF_AS_PEDAGOGICAL: ProofDialogueRow(
-        ProofDialogueType.PROOF_AS_PEDAGOGICAL, False,
-        "Interlocutor lacks information", "Transfer of knowledge",
+        False, "Interlocutor lacks information", "Transfer of knowledge",
         "Disseminate knowledge of results & methods", "Obtain knowledge"),
     ProofDialogueType.SUSPECT_INFO_SEEKING: ProofDialogueRow(
-        ProofDialogueType.SUSPECT_INFO_SEEKING, True,
-        "Prover lacks information", "Transfer of knowledge",
+        True, "Prover lacks information", "Transfer of knowledge",
         "Obtain information", "Presumably inscrutable"),
     ProofDialogueType.SUSPECT_DELIBERATION: ProofDialogueRow(
-        ProofDialogueType.SUSPECT_DELIBERATION, True, "Open-mindedness",
+        True, "Open-mindedness",
         "Reach a provisional conclusion", "Contribute to outcome",
         "Obtain warranted belief"),
     ProofDialogueType.SUSPECT_NEGOTIATION: ProofDialogueRow(
-        ProofDialogueType.SUSPECT_NEGOTIATION, True, "Difference of opinion",
+        True, "Difference of opinion",
         "Exchange resources for a provisional conclusion",
         "Contribute to outcome", "Maximize value of exchange"),
     ProofDialogueType.SUSPECT_ERISTIC: ProofDialogueRow(
-        ProofDialogueType.SUSPECT_ERISTIC, True,
-        "Irreconcilable difference of opinion", "Reveal deeper conflict",
+        True, "Irreconcilable difference of opinion", "Reveal deeper conflict",
         "Clarify position", "Clarify position"),
 }
 

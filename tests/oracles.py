@@ -3,16 +3,17 @@
 These are the straightforward versions that `prooftalk` replaced with
 linear-time ones (among them the dialogue replay that folded
 `apply_move` over immutable states, copying the history and a store at
-every move), and the character-by-character tokenizer that the
-master-regex one replaced.  They define the expected answers: the
-library functions must agree with them on every input the tests
-generate.
+every move), the character-by-character tokenizer that the master-regex
+one replaced, and the parser whose block parsers each repeated the block
+head, the entry loop and the slot rule.  They define the expected
+answers: the library functions must agree with them on every input the
+tests generate.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
 
 from prooftalk.engine import (
     ANSWER_WINDOW,
@@ -20,24 +21,42 @@ from prooftalk.engine import (
     DialogueState,
     Move,
     MoveKind,
+    Participant,
     Phase,
     Polarity,
     ProtocolViolation,
     ReplayResult,
+    Role,
     ViolationInfo,
     _kind_rule_id,
     kind_allowed,
 )
-from prooftalk.markup import KEYWORDS, MarkupError, ParseError, SourceSpan, Token
+from prooftalk.markup import (
+    KEYWORDS,
+    DialogueDecl,
+    Document,
+    MarkupError,
+    ParseError,
+    ProofDecl,
+    SourceSpan,
+    Token,
+    _end_span,
+)
 from prooftalk.model import (
     ArgumentGraph,
     CycleError,
     Link,
     LinkRole,
+    Proposition,
+    Qualifier,
+    QualifierKind,
     SlotMismatch,
+    ToulminArgument,
+    _LINK_ORDER,
     _claim_in_slot,
+    _has_cycle,
 )
-from prooftalk.typology import DialogueType
+from prooftalk.typology import DialogueType, Stance
 
 
 def has_cycle(links: tuple[Link, ...]) -> bool:
@@ -277,7 +296,7 @@ def tokenize(source: str) -> list[Token]:
                         j += 2
                         continue
                     raise MarkupError([ParseError(
-                        SourceSpan(*start_span, j + 2 - i), "string",
+                        SourceSpan(*start_span, min(j + 2, n) - i), "string",
                         source[i:j + 2], "illegal escape sequence")])
                 parts.append(source[j])
                 j += 1
@@ -309,3 +328,409 @@ def tokenize(source: str) -> list[Token]:
             SourceSpan(*start_span, 1), "token", ch,
             "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
     return tokens
+
+
+# The reference parser's word tables.  It records each block's keyword
+# span in a dict of its own.
+QUALIFIER_WORDS = {
+    "necessarily": QualifierKind.NECESSARILY,
+    "almost_certainly": QualifierKind.ALMOST_CERTAINLY,
+    "probably": QualifierKind.PROBABLY,
+    "presumably": QualifierKind.PRESUMABLY,
+}
+TYPE_WORDS = {t.value: t for t in DialogueType}
+STANCE_WORDS = {s.value: s for s in Stance}
+MOVE_WORDS = {k.value: k for k in MoveKind}
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token], end: SourceSpan):
+        self.tokens = tokens
+        self.eof = Token("eof", "<end of input>", end)
+        self.pos = 0
+        self.errors: list[ParseError] = []
+        self.doc = Document()
+        self.block_spans: dict[str, SourceSpan] = {}
+        # (slot_id, source_arg_name, target_arg_name, span)
+        self.uses: list[tuple[str, str, str, SourceSpan]] = []
+        # (prop_id, span) references to resolve after the full parse
+        self.pending_refs: list[tuple[str, SourceSpan]] = []
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if self.pos < len(self.tokens):
+            self.pos += 1
+        return tok
+
+    def error(self, expected: str, tok: Optional[Token] = None,
+              hint: Optional[str] = None) -> None:
+        tok = tok or self.peek()
+        found = tok.value if tok.kind != "eof" else "<end of input>"
+        self.errors.append(ParseError(tok.span, expected, found, hint))
+
+    def expect(self, kind: str, expected: Optional[str] = None) -> Optional[Token]:
+        tok = self.peek()
+        if tok.kind == kind:
+            return self.next()
+        self.error(expected or kind)
+        return None
+
+    def expect_kw(self, word: str) -> bool:
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.value == word:
+            self.next()
+            return True
+        self.error(f"'{word}'")
+        return False
+
+    def ident_list(self, expected: str) -> list[Token]:
+        """A comma-separated identifier list; missing entries are errors."""
+        idents = [self.expect("ident", expected)]
+        while self.peek().kind == "comma":
+            self.next()
+            idents.append(self.expect("ident", expected))
+        return [ident for ident in idents if ident is not None]
+
+    def at_kw(self, *words: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "keyword" and tok.value in words
+
+    def skip_block(self) -> None:
+        """Recovery: skip to the end of the current block or to the next
+        top-level declaration keyword."""
+        depth = 0
+        while self.peek().kind != "eof":
+            tok = self.peek()
+            if depth == 0 and self.at_kw("prop", "argument", "dialogue", "proof"):
+                return
+            self.next()
+            if tok.kind == "lbrace":
+                depth += 1
+            elif tok.kind == "rbrace":
+                depth -= 1
+                if depth <= 0:
+                    return
+
+    # --- propositions ------------------------------------------------
+
+    def declare_prop(self, pid: str, text: str, span: SourceSpan) -> None:
+        existing = self.doc.graph.propositions.get(pid)
+        if existing is None:
+            self.doc.graph.propositions[pid] = Proposition(pid, text)
+        elif existing.text != text:
+            self.errors.append(ParseError(
+                span, "fresh proposition id", pid,
+                "duplicate id with conflicting text"))
+
+    # --- top level ---------------------------------------------------
+
+    def parse(self) -> Document:
+        if self.at_kw("version"):
+            self.next()
+            self.expect("int", "version number")
+        while self.peek().kind != "eof":
+            if self.at_kw("prop"):
+                self.parse_prop()
+            elif self.at_kw("argument"):
+                self.parse_argument()
+            elif self.at_kw("dialogue"):
+                self.parse_dialogue()
+            elif self.at_kw("proof"):
+                self.parse_proof()
+            else:
+                self.error("'prop', 'argument', 'dialogue' or 'proof'")
+                self.skip_block()
+        self.resolve_uses()
+        self.resolve_refs()
+        return self.doc
+
+    def parse_prop(self) -> None:
+        self.next()  # prop
+        ident = self.expect("ident", "proposition id")
+        if not self.expect("colon") or ident is None:
+            self.skip_block()
+            return
+        text = self.expect("string", "proposition text")
+        if text is None:
+            self.skip_block()
+            return
+        self.declare_prop(ident.value, text.value, ident.span)
+
+    # --- argument blocks ---------------------------------------------
+
+    def parse_argument(self) -> None:
+        kw = self.next()  # argument
+        name = self.expect("string", "argument name")
+        if name is None or not self.expect("lbrace"):
+            self.skip_block()
+            return
+        if name.value in self.doc.graph.arguments:
+            self.error("fresh argument name", name, "duplicate argument")
+        data: list[str] = []
+        rebuttals: list[str] = []
+        warrant = claim = backing = None
+        qualifier: Optional[Qualifier] = None
+
+        def named_slot() -> Optional[str]:
+            ident = self.expect("ident", "proposition id")
+            if ident is None or not self.expect("colon"):
+                return None
+            text = self.expect("string", "proposition text")
+            if text is None:
+                return None
+            self.declare_prop(ident.value, text.value, ident.span)
+            return ident.value
+
+        while not self.peek().kind == "rbrace":
+            tok = self.peek()
+            if tok.kind == "eof":
+                self.error("'}'")
+                break
+            if self.at_kw("data"):
+                self.next()
+                pid = named_slot()
+                if pid is not None:
+                    data.append(pid)
+            elif self.at_kw("rebuttal"):
+                self.next()
+                pid = named_slot()
+                if pid is not None:
+                    rebuttals.append(pid)
+            elif self.at_kw("warrant"):
+                self.next()
+                warrant = named_slot() or warrant
+            elif self.at_kw("backing"):
+                self.next()
+                backing = named_slot() or backing
+            elif self.at_kw("claim"):
+                self.next()
+                claim = named_slot() or claim
+            elif self.at_kw("qualifier"):
+                self.next()
+                if self.expect("colon"):
+                    qualifier = self.parse_qualifier() or qualifier
+            elif self.at_kw("uses"):
+                self.next()
+                ident = self.expect("ident", "slot proposition id")
+                if ident and self.expect("arrow") and self.expect_kw("argument"):
+                    src = self.expect("string", "argument name")
+                    if src:
+                        self.uses.append(
+                            (ident.value, src.value, name.value, ident.span))
+            else:
+                self.error("argument slot keyword", tok)
+                self.next()
+        self.expect("rbrace")
+        self.doc.graph.arguments[name.value] = ToulminArgument(
+            id=name.value, data=tuple(data), warrant=warrant, claim=claim,
+            backing=backing, qualifier=qualifier, rebuttals=tuple(rebuttals))
+        self.block_spans[f"argument:{name.value}"] = kw.span
+
+    def parse_qualifier(self) -> Optional[Qualifier]:
+        tok = self.next()
+        if tok.kind == "ident" and tok.value in QUALIFIER_WORDS:
+            return Qualifier(QUALIFIER_WORDS[tok.value])
+        if tok.kind == "ident" and tok.value == "custom":
+            label = self.expect("string", "custom qualifier label")
+            if label is None:
+                return None
+            if not label.value:
+                self.errors.append(ParseError(
+                    label.span, "custom qualifier label", '""',
+                    "a custom label must be non-empty"))
+                return None
+            return Qualifier(QualifierKind.CUSTOM, label.value)
+        self.error("qualifier keyword", tok)
+        return None
+
+    # --- dialogue blocks ---------------------------------------------
+
+    def parse_dialogue(self) -> None:
+        kw = self.next()  # dialogue
+        name = self.expect("string", "dialogue name")
+        if name is None or not self.expect("lbrace"):
+            self.skip_block()
+            return
+        if name.value in self.doc.dialogues:
+            self.error("fresh dialogue name", name, "duplicate dialogue")
+
+        declared_type: Optional[DialogueType] = None
+        order: list[str] = []
+        order_tok: Optional[Token] = None
+        stances: dict[str, Stance] = {}
+        crucial: Optional[str] = None
+        settlement: Optional[str] = None
+        moves: list[Move] = []
+
+        while self.peek().kind != "rbrace":
+            tok = self.peek()
+            if tok.kind == "eof":
+                self.error("'}'")
+                break
+            if self.at_kw("type"):
+                self.next()
+                if self.expect("colon"):
+                    t = self.next()
+                    if t.kind == "ident" and t.value in TYPE_WORDS:
+                        declared_type = TYPE_WORDS[t.value]
+                    else:
+                        self.error("dialogue type name", t)
+            elif self.at_kw("participants"):
+                order_tok = self.next()
+                if self.expect("colon"):
+                    for ident in self.ident_list("participant id"):
+                        if ident.value in order:
+                            self.error("fresh participant id", ident,
+                                       "duplicate participant")
+                        order.append(ident.value)
+            elif self.at_kw("stance"):
+                self.next()
+                pid = self.expect("ident", "participant id")
+                prop = self.expect("ident", "proposition id")
+                if pid and prop and self.expect("colon"):
+                    v = self.next()
+                    if v.kind == "ident" and v.value in STANCE_WORDS:
+                        stances[pid.value] = STANCE_WORDS[v.value]
+                    else:
+                        self.error("'true', 'false' or 'unknown'", v)
+                        continue
+                    if crucial is not None and crucial != prop.value:
+                        self.error("the crucial proposition", prop,
+                                   "stance lines must share one proposition")
+                    else:
+                        crucial = prop.value
+                        self.pending_refs.append((prop.value, prop.span))
+            elif self.at_kw("settlement"):
+                self.next()
+                ident = self.expect("ident", "proposition id")
+                if ident:
+                    settlement = ident.value
+                    self.pending_refs.append((ident.value, ident.span))
+            elif self.at_kw("move"):
+                self.next()
+                turn = self.expect("int", "turn number")
+                speaker = self.expect("ident", "speaker id")
+                kind_tok = self.next()
+                if kind_tok.kind != "keyword" or kind_tok.value not in MOVE_WORDS:
+                    self.error("move kind", kind_tok)
+                    continue
+                kind = MOVE_WORDS[kind_tok.value]
+                subj_tok = self.next()
+                subject: Union[str, DialogueType, None] = None
+                if kind is MoveKind.DECLARE_SHIFT:
+                    if subj_tok.kind == "ident" and subj_tok.value in TYPE_WORDS:
+                        subject = TYPE_WORDS[subj_tok.value]
+                    else:
+                        self.error("dialogue type name", subj_tok)
+                elif subj_tok.kind == "ident":
+                    subject = subj_tok.value
+                    self.pending_refs.append((subj_tok.value, subj_tok.span))
+                else:
+                    self.error("proposition id", subj_tok)
+                if turn and speaker and subject is not None:
+                    moves.append(Move(int(turn.value), speaker.value,
+                                      kind, subject))
+            else:
+                self.error("dialogue entry keyword", tok)
+                self.next()
+        self.expect("rbrace")
+
+        if declared_type is None:
+            self.error("'type' declaration in dialogue block", name)
+            return
+        if crucial is None:
+            self.error("at least one 'stance' line in dialogue block", name)
+            return
+        if len(order) != 2:
+            self.errors.append(ParseError(
+                (order_tok or name).span, "exactly two participants",
+                str(len(order)), "dialogues are two-party"))
+        participants = tuple(
+            Participant(pid,
+                        Role.PROVER if i == 0 else Role.INTERLOCUTOR,
+                        stances.get(pid, Stance.UNKNOWN))
+            for i, pid in enumerate(order))
+        for pid in stances:
+            if pid not in order:
+                self.error("declared participant", name,
+                           f"stance for unknown participant '{pid}'")
+        self.doc.dialogues[name.value] = DialogueDecl(
+            name.value, declared_type, participants, crucial, settlement,
+            tuple(moves))
+        self.block_spans[f"dialogue:{name.value}"] = kw.span
+
+    # --- proof blocks ------------------------------------------------
+
+    def parse_proof(self) -> None:
+        kw = self.next()  # proof
+        name = self.expect("string", "proof name")
+        if name is None or not self.expect("lbrace"):
+            self.skip_block()
+            return
+        names: list[str] = []
+        if self.expect_kw("dialogues") and self.expect("colon"):
+            names = [ident.value for ident in self.ident_list("dialogue name")]
+        self.expect("rbrace")
+        for n in names:
+            if n not in self.doc.dialogues:
+                self.error("declared dialogue name", kw,
+                           f"proof '{name.value}' references unknown "
+                           f"dialogue '{n}'")
+        self.doc.proofs[name.value] = ProofDecl(name.value, tuple(names))
+        self.block_spans[f"proof:{name.value}"] = kw.span
+
+    # --- resolution --------------------------------------------------
+
+    def resolve_uses(self) -> None:
+        links = set(self.doc.graph.links)
+        for slot_id, src, target, span in self.uses:
+            graph = self.doc.graph
+            if src not in graph.arguments:
+                self.errors.append(ParseError(
+                    span, "declared argument", src, "unknown source argument"))
+                continue
+            target_arg = graph.arguments[target]
+            if slot_id in target_arg.data:
+                role = LinkRole.DATUM
+            elif slot_id == target_arg.backing:
+                role = LinkRole.BACKING
+            else:
+                self.errors.append(ParseError(
+                    span, "a datum or backing of this argument", slot_id,
+                    "uses clause must name a local slot"))
+                continue
+            if graph.arguments[src].claim != slot_id:
+                self.errors.append(ParseError(
+                    span, f"claim of argument '{src}'", slot_id,
+                    "source claim does not match the slot"))
+                continue
+            links.add(Link(src, target, role))
+        self.doc.graph.links = tuple(sorted(links, key=_LINK_ORDER))
+        if _has_cycle(self.doc.graph.links):
+            anchor = self.uses[-1][3] if self.uses else SourceSpan(1, 1, 0, 1)
+            self.errors.append(ParseError(
+                anchor, "acyclic support links", "uses",
+                "support cycle between arguments"))
+
+    def resolve_refs(self) -> None:
+        for pid, span in self.pending_refs:
+            if pid not in self.doc.graph.propositions:
+                self.errors.append(ParseError(
+                    span, "declared proposition", pid, "dangling reference"))
+
+def parse_document(source: str) -> tuple[Document, dict[str, SourceSpan]]:
+    """Parse markup text into the document and its block spans, keyed
+    `argument:NAME`, `dialogue:NAME` and `proof:NAME`; raises MarkupError
+    listing every recoverable error, the first one earliest in the
+    source.  A span holds at most one error, the first one found there."""
+    parser = _Parser(tokenize(source), _end_span(source))
+    doc = parser.parse()
+    if parser.errors:
+        first: dict[SourceSpan, ParseError] = {}
+        for err in parser.errors:
+            first.setdefault(err.span, err)
+        raise MarkupError(sorted(first.values(), key=lambda e: e.span.offset))
+    return doc, parser.block_spans

@@ -1,15 +1,16 @@
 """The linear-time cycle, link and challenge checks, the dialogue
-replay fold and the regex tokenizer agree with the reference versions in
-`oracles`, and the CLI output on the shipped corpus matches the recorded
-golden output byte for byte."""
+replay fold, the regex tokenizer and the parser agree with the reference
+versions in `oracles`, and the CLI output on the shipped corpus matches
+the recorded golden output byte for byte."""
 
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from test_fuzz import documents as fragment_documents
 from prooftalk.cli import fixture_paths, main
 from prooftalk.engine import (
     DialogueState,
@@ -259,9 +260,10 @@ def test_replay_matches_reference_on_fixtures(decl):
     assert_apply_move_matches_reference(initial, decl.moves)
 
 
-def lexed(lex, source):
+def markup_outcome(fn, source):
+    """The function's result, or the errors it raised."""
     try:
-        return lex(source)
+        return fn(source)
     except MarkupError as exc:
         return exc.errors
 
@@ -282,13 +284,40 @@ edge_sources = st.lists(
 @settings(max_examples=500)
 @given(st.one_of(st.text(), edge_sources))
 def test_tokenize_matches_reference(source):
-    assert lexed(tokenize, source) == lexed(oracles.tokenize, source)
+    assert markup_outcome(tokenize, source) == markup_outcome(oracles.tokenize, source)
 
 
 @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
 def test_tokenize_matches_reference_on_fixtures(path):
     source = path.read_text(encoding="utf-8")
-    assert lexed(tokenize, source) == lexed(oracles.tokenize, source)
+    assert markup_outcome(tokenize, source) == markup_outcome(oracles.tokenize, source)
+
+
+def assert_parse_matches_reference(source):
+    """The same document with the same argument spans, or the same
+    errors in the same order."""
+    got = markup_outcome(parse_document, source)
+    want = markup_outcome(oracles.parse_document, source)
+    if isinstance(want, list):
+        assert got == want
+        return
+    doc, block_spans = want
+    assert got == doc
+    assert got.argument_spans == {
+        key.removeprefix("argument:"): span
+        for key, span in block_spans.items() if key.startswith("argument:")}
+
+
+@settings(max_examples=300)
+@example('"abc\\')
+@given(st.one_of(st.text(), fragment_documents))
+def test_parse_document_matches_reference(source):
+    assert_parse_matches_reference(source)
+
+
+@pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
+def test_parse_document_matches_reference_on_fixtures(path):
+    assert_parse_matches_reference(path.read_text(encoding="utf-8"))
 
 
 GOLDEN = json.loads(

@@ -47,8 +47,8 @@ def test_parse_returns_document_or_raises_markup_error(text):
     except MarkupError as exc:
         # Located in the source, earliest first, one per span.
         spans = [e.span for e in exc.errors]
-        assert all(s.line >= 1 and s.column >= 1 and s.offset <= len(text)
-                   for s in spans)
+        assert all(s.line >= 1 and s.column >= 1
+                   and s.offset + s.length <= len(text) for s in spans)
         assert [s.offset for s in spans] == sorted(s.offset for s in spans)
         assert len(set(spans)) == len(spans)
 

@@ -1,12 +1,15 @@
 """Source hygiene, read from the syntax tree of each module: no unused
 imports, and the layering the analysis pipeline relies on (the engine
 does not reach up into shift analysis; the CLI goes through the
-pipeline rather than the layers beneath it)."""
+pipeline rather than the layers beneath it).  Also: the CLI's fixture
+list names exactly the fixture files the package ships."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from prooftalk.cli import FIXTURE_NAMES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prooftalk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -57,3 +60,8 @@ def test_engine_imports_nothing_from_shifts():
 
 def test_cli_imports_neither_engine_nor_shifts():
     assert not {"engine", "shifts"} & imported_modules(tree_of("cli.py"))
+
+
+def test_fixture_names_list_every_shipped_fixture():
+    shipped = [p.name for p in (PACKAGE / "fixtures").glob("*.arg")]
+    assert sorted(FIXTURE_NAMES) == sorted(shipped)

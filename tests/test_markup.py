@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from prooftalk.markup import (
     Document,
     MarkupError,
     ProofDecl,
+    SourceSpan,
     parse_document,
     serialize,
     tokenize,
@@ -42,6 +46,20 @@ class TestTokenize:
     def test_string_escapes(self):
         tokens = tokenize(r'"a \"quoted\" \\ backslash"')
         assert tokens[0].value == 'a "quoted" \\ backslash'
+
+    def test_escape_at_end_of_input_stays_inside_the_source(self):
+        with pytest.raises(MarkupError) as exc:
+            parse_document('"abc\\')
+        err = exc.value.errors[0]
+        assert err.span == SourceSpan(1, 1, 0, 5)
+        assert err.hint == "illegal escape sequence"
+
+    def test_keywords_match_readme(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        words = re.search(r"keywords and cannot be used as identifiers:(.*?)\.\n",
+                          readme, re.S)[1]
+        assert set(re.findall(r"`(\w+)`", words)) == KEYWORDS
 
     def test_illegal_character(self):
         with pytest.raises(MarkupError) as exc:

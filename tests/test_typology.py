@@ -129,9 +129,7 @@ class TestDialogueProfile:
 
     def test_total_over_all_eight_types(self):
         for t in DialogueType:
-            profile = dialogue_profile(t)
-            assert profile.dialogue_type is t
-            assert profile.benefits_text
+            assert dialogue_profile(t).benefits_text
 
 
 def extended_situations():
