@@ -53,6 +53,10 @@ def _load(path: str, out) -> markup.Document | int:
         return EXIT_USAGE
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(text: str, out_path) -> int:
     if out_path:
         try:
@@ -102,8 +106,7 @@ def cmd_classify(args) -> int:
         return doc
     report = classify_document(doc)
     if args.format == "json":
-        return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                     args.out)
+        return _emit(_json(report), args.out)
     lines = []
     for name in sorted(report):
         e = report[name]
@@ -137,13 +140,13 @@ def cmd_analyze(args) -> int:
             lines.append(f"proof {e['proof_id']}: {e['status']}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json(report)
     failed = any("error" in e or e["violations"] for e in report["dialogues"])
     return _emit(text, args.out) or (EXIT_DOMAIN if failed else EXIT_OK)
 
 
 def cmd_report(args) -> int:
-    return _emit(typology.tables_to_json(), args.out)
+    return _emit(_json(typology.survey_tables()), args.out)
 
 
 @functools.cache

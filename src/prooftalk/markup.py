@@ -72,6 +72,9 @@ TYPE_WORDS = {t.value: t for t in DialogueType}
 STANCE_WORDS = {s.value: s for s in Stance}
 MOVE_WORDS = {k.value: k for k in MoveKind}
 
+# How an expected punctuation token is named in an error message.
+_SHOWN = {"colon": "':'", "lbrace": "'{'", "rbrace": "'}'", "arrow": "'<-'"}
+
 KEYWORDS = frozenset({"version", *_BLOCK_WORDS, "dialogues", *_ARGUMENT_SLOTS,
                       *_DIALOGUE_ENTRIES, *MOVE_WORDS})
 
@@ -195,7 +198,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == kind:
             return self.next()
-        self.error(expected or kind)
+        self.error(expected or _SHOWN[kind])
         return None
 
     def expect_kw(self, word: str) -> bool:

@@ -106,13 +106,12 @@ def segment_moves(moves: tuple[Move, ...], initial_type: DialogueType,
         elif (isinstance(move.subject, str)
               and not kind_allowed(move.kind, current)):
             span = moves[i:i + window]
+            # Never empty: negotiation allows every move kind.
             candidates = [
                 t for t in _TYPE_PRIORITY
                 if all(kind_allowed(m.kind, t) for m in span
                        if m.kind is not MoveKind.DECLARE_SHIFT)
             ]
-            if not candidates:
-                continue  # replay will report the violation
             alone = [t for t in _TYPE_PRIORITY if kind_allowed(move.kind, t)]
             if move.turn > start:
                 close(move.turn - 1)

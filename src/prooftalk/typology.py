@@ -1,16 +1,16 @@
 """Walton-style dialogue typology and proof-status assessment.
 
-Encodes the finite survey tables as embedded constants: initial
-situation x main goal -> dialogue type, the per-type profile strings,
-and the proof-dialogue rows (four of which are "suspect": dialogues that
-only resemble proof).  Status assessment combines per-type outcomes into
-a single verdict.
+Encodes the finite survey tables once each, as embedded constants:
+initial situation x main goal -> dialogue type, the per-type profile
+strings, and the proof-dialogue rows under the situation and goal each
+arises from (four rows are "suspect": dialogues that only resemble
+proof).  The per-type maps and lookups are derived from them.  Status
+assessment combines per-type outcomes into a single verdict.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -103,6 +103,20 @@ _TABLE1: dict[tuple[SituationKind, MainGoal], DialogueType] = {
     (SituationKind.INFO_ASYMMETRY, MainGoal.STABLE_RESOLUTION): DialogueType.INFORMATION_SEEKING,
 }
 
+# The cell of each dialogue type: debate shares eristic's, and
+# pedagogical dialogue shares information seeking's.
+_CELL_OF_TYPE = {t: cell for cell, t in _TABLE1.items()}
+_CELL_OF_TYPE[DialogueType.DEBATE] = _CELL_OF_TYPE[DialogueType.ERISTIC]
+_CELL_OF_TYPE[DialogueType.PEDAGOGICAL] = \
+    _CELL_OF_TYPE[DialogueType.INFORMATION_SEEKING]
+
+# The situation each dialogue type's column requires, and the main goal
+# its choice implies; used when checking declared dialogues.
+SITUATION_OF_TYPE: dict[DialogueType, SituationKind] = {
+    t: s for t, (s, _) in _CELL_OF_TYPE.items()}
+GOAL_OF_TYPE: dict[DialogueType, MainGoal] = {
+    t: g for t, (_, g) in _CELL_OF_TYPE.items()}
+
 
 def classify_dialogue(s: InitialSituation, g: MainGoal) -> DialogueType:
     """Look up the dialogue type for a situation/goal pair.
@@ -183,69 +197,60 @@ class ProofDialogueRow:
     interlocutor_goal_text: str
 
 
-_TABLE3: dict[ProofDialogueType, ProofDialogueRow] = {
-    ProofDialogueType.PROOF_AS_INQUIRY: ProofDialogueRow(
-        False, "Open-mindedness",
-        "Prove or disprove conjecture", "Contribute to outcome",
-        "Obtain knowledge"),
-    ProofDialogueType.PROOF_AS_PERSUASION: ProofDialogueRow(
-        False, "Difference of opinion",
-        "Resolve difference of opinion with rigour", "Persuade interlocutor",
-        "Persuade prover"),
-    ProofDialogueType.PROOF_AS_PEDAGOGICAL: ProofDialogueRow(
-        False, "Interlocutor lacks information", "Transfer of knowledge",
-        "Disseminate knowledge of results & methods", "Obtain knowledge"),
-    ProofDialogueType.SUSPECT_INFO_SEEKING: ProofDialogueRow(
-        True, "Prover lacks information", "Transfer of knowledge",
-        "Obtain information", "Presumably inscrutable"),
-    ProofDialogueType.SUSPECT_DELIBERATION: ProofDialogueRow(
-        True, "Open-mindedness",
-        "Reach a provisional conclusion", "Contribute to outcome",
-        "Obtain warranted belief"),
-    ProofDialogueType.SUSPECT_NEGOTIATION: ProofDialogueRow(
-        True, "Difference of opinion",
-        "Exchange resources for a provisional conclusion",
-        "Contribute to outcome", "Maximize value of exchange"),
-    ProofDialogueType.SUSPECT_ERISTIC: ProofDialogueRow(
-        True, "Irreconcilable difference of opinion", "Reveal deeper conflict",
-        "Clarify position", "Clarify position"),
+_CONFLICT = InitialSituation(SituationKind.CONFLICT)
+_OPEN_PROBLEM = InitialSituation(SituationKind.OPEN_PROBLEM)
+
+# Table 3: each proof-dialogue row under the situation and goal it
+# arises from.  Open-mindedness is identified with an open problem.
+_PROOF_DIALOGUES: dict[tuple[InitialSituation, MainGoal],
+                       tuple[ProofDialogueType, ProofDialogueRow]] = {
+    (_OPEN_PROBLEM, MainGoal.STABLE_RESOLUTION): (
+        ProofDialogueType.PROOF_AS_INQUIRY, ProofDialogueRow(
+            False, "Open-mindedness", "Prove or disprove conjecture",
+            "Contribute to outcome", "Obtain knowledge")),
+    (_CONFLICT, MainGoal.STABLE_RESOLUTION): (
+        ProofDialogueType.PROOF_AS_PERSUASION, ProofDialogueRow(
+            False, "Difference of opinion",
+            "Resolve difference of opinion with rigour",
+            "Persuade interlocutor", "Persuade prover")),
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.INTERLOCUTOR_LACKS),
+     MainGoal.STABLE_RESOLUTION): (
+        ProofDialogueType.PROOF_AS_PEDAGOGICAL, ProofDialogueRow(
+            False, "Interlocutor lacks information", "Transfer of knowledge",
+            "Disseminate knowledge of results & methods", "Obtain knowledge")),
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.PROVER_LACKS),
+     MainGoal.STABLE_RESOLUTION): (
+        ProofDialogueType.SUSPECT_INFO_SEEKING, ProofDialogueRow(
+            True, "Prover lacks information", "Transfer of knowledge",
+            "Obtain information", "Presumably inscrutable")),
+    (_OPEN_PROBLEM, MainGoal.PRACTICAL_SETTLEMENT): (
+        ProofDialogueType.SUSPECT_DELIBERATION, ProofDialogueRow(
+            True, "Open-mindedness", "Reach a provisional conclusion",
+            "Contribute to outcome", "Obtain warranted belief")),
+    (_CONFLICT, MainGoal.PRACTICAL_SETTLEMENT): (
+        ProofDialogueType.SUSPECT_NEGOTIATION, ProofDialogueRow(
+            True, "Difference of opinion",
+            "Exchange resources for a provisional conclusion",
+            "Contribute to outcome", "Maximize value of exchange")),
+    (InitialSituation(SituationKind.CONFLICT, irreconcilable=True),
+     MainGoal.PROVISIONAL_ACCOMMODATION): (
+        ProofDialogueType.SUSPECT_ERISTIC, ProofDialogueRow(
+            True, "Irreconcilable difference of opinion",
+            "Reveal deeper conflict", "Clarify position", "Clarify position")),
 }
+_TABLE3 = {t: row for t, row in _PROOF_DIALOGUES.values()}
+_PROOF_ROWS = {key: t for key, (t, _) in _PROOF_DIALOGUES.items()}
 
 
 def proof_dialogue_row(t: ProofDialogueType) -> ProofDialogueRow:
     return _TABLE3[t]
 
 
-_CONFLICT = InitialSituation(SituationKind.CONFLICT)
-_OPEN_PROBLEM = InitialSituation(SituationKind.OPEN_PROBLEM)
-
-_PROOF_ROWS: dict[tuple[InitialSituation, MainGoal], ProofDialogueType] = {
-    (_OPEN_PROBLEM, MainGoal.STABLE_RESOLUTION):
-        ProofDialogueType.PROOF_AS_INQUIRY,
-    (_OPEN_PROBLEM, MainGoal.PRACTICAL_SETTLEMENT):
-        ProofDialogueType.SUSPECT_DELIBERATION,
-    (_CONFLICT, MainGoal.STABLE_RESOLUTION):
-        ProofDialogueType.PROOF_AS_PERSUASION,
-    (_CONFLICT, MainGoal.PRACTICAL_SETTLEMENT):
-        ProofDialogueType.SUSPECT_NEGOTIATION,
-    (InitialSituation(SituationKind.CONFLICT, irreconcilable=True),
-     MainGoal.PROVISIONAL_ACCOMMODATION): ProofDialogueType.SUSPECT_ERISTIC,
-    (InitialSituation(SituationKind.INFO_ASYMMETRY,
-                      AsymmetryDirection.INTERLOCUTOR_LACKS),
-     MainGoal.STABLE_RESOLUTION): ProofDialogueType.PROOF_AS_PEDAGOGICAL,
-    (InitialSituation(SituationKind.INFO_ASYMMETRY,
-                      AsymmetryDirection.PROVER_LACKS),
-     MainGoal.STABLE_RESOLUTION): ProofDialogueType.SUSPECT_INFO_SEEKING,
-}
-
-
 def classify_proof_dialogue(s: InitialSituation, g: MainGoal) -> ProofDialogueType:
-    """Map a situation/goal pair to its proof-dialogue row.
-
-    Open-mindedness is identified with an open problem (lack of
-    commitment on both sides).  Combinations outside the seven rows
-    raise UndefinedCell.
-    """
+    """Map a situation/goal pair to its proof-dialogue row; combinations
+    outside the seven rows raise UndefinedCell."""
     try:
         return _PROOF_ROWS[(s, g)]
     except KeyError:
@@ -318,54 +323,15 @@ def assess_proof_status(
     return ProofStatus(ProofStatusKind.NOT_PROOF, (base,))
 
 
-# Main goal implied by choosing each dialogue type, and the situation its
-# survey column requires; used when checking declared dialogues.
-GOAL_OF_TYPE: dict[DialogueType, MainGoal] = {
-    DialogueType.PERSUASION: MainGoal.STABLE_RESOLUTION,
-    DialogueType.INQUIRY: MainGoal.STABLE_RESOLUTION,
-    DialogueType.INFORMATION_SEEKING: MainGoal.STABLE_RESOLUTION,
-    DialogueType.PEDAGOGICAL: MainGoal.STABLE_RESOLUTION,
-    DialogueType.DELIBERATION: MainGoal.PRACTICAL_SETTLEMENT,
-    DialogueType.NEGOTIATION: MainGoal.PRACTICAL_SETTLEMENT,
-    DialogueType.ERISTIC: MainGoal.PROVISIONAL_ACCOMMODATION,
-    DialogueType.DEBATE: MainGoal.PROVISIONAL_ACCOMMODATION,
-}
+def survey_tables() -> dict:
+    """The embedded survey tables as one document: the `report` output.
+    A record's keys are its field names without the `_text` suffix."""
+    def record(r) -> dict:
+        return {k.removesuffix("_text"): v for k, v in asdict(r).items()}
 
-SITUATION_OF_TYPE: dict[DialogueType, SituationKind] = {
-    DialogueType.PERSUASION: SituationKind.CONFLICT,
-    DialogueType.NEGOTIATION: SituationKind.CONFLICT,
-    DialogueType.ERISTIC: SituationKind.CONFLICT,
-    DialogueType.DEBATE: SituationKind.CONFLICT,
-    DialogueType.INQUIRY: SituationKind.OPEN_PROBLEM,
-    DialogueType.DELIBERATION: SituationKind.OPEN_PROBLEM,
-    DialogueType.INFORMATION_SEEKING: SituationKind.INFO_ASYMMETRY,
-    DialogueType.PEDAGOGICAL: SituationKind.INFO_ASYMMETRY,
-}
-
-
-def tables_to_json() -> str:
-    """The embedded survey tables as a JSON document, keys sorted."""
-    doc = {
-        "dialogue_types": {
-            (s.value + "/" + g.value): t.value
-            for (s, g), t in _TABLE1.items()
-        },
-        "profiles": {
-            t.value: {
-                "initial_situation": p.initial_situation_text,
-                "individual_goals": p.individual_goals_text,
-                "collective_goal": p.collective_goal_text,
-                "benefits": p.benefits_text,
-            } for t, p in _TABLE2.items()
-        },
-        "proof_dialogues": {
-            t.value: {
-                "suspect": r.suspect,
-                "initial_situation": r.initial_situation_text,
-                "main_goal": r.main_goal_text,
-                "prover_goal": r.prover_goal_text,
-                "interlocutor_goal": r.interlocutor_goal_text,
-            } for t, r in _TABLE3.items()
-        },
+    return {
+        "dialogue_types": {f"{s.value}/{g.value}": t.value
+                           for (s, g), t in _TABLE1.items()},
+        "profiles": {t.value: record(p) for t, p in _TABLE2.items()},
+        "proof_dialogues": {t.value: record(r) for t, r in _TABLE3.items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -7,7 +7,8 @@ every move), the character-by-character tokenizer that the master-regex
 one replaced, and the parser whose block parsers each repeated the block
 head, the entry loop and the slot rule.  They define the expected
 answers: the library functions must agree with them on every input the
-tests generate.
+tests generate.  The survey tables that `typology` now derives from
+Tables 1 and 3 are kept here as they were written out by hand.
 """
 
 from __future__ import annotations
@@ -56,7 +57,16 @@ from prooftalk.model import (
     _claim_in_slot,
     _has_cycle,
 )
-from prooftalk.typology import DialogueType, Stance
+from prooftalk.typology import (
+    AsymmetryDirection,
+    DialogueType,
+    InitialSituation,
+    MainGoal,
+    ProofDialogueRow,
+    ProofDialogueType,
+    SituationKind,
+    Stance,
+)
 
 
 def has_cycle(links: tuple[Link, ...]) -> bool:
@@ -375,7 +385,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == kind:
             return self.next()
-        self.error(expected or kind)
+        self.error(expected or {"colon": "':'", "lbrace": "'{'",
+                                "rbrace": "'}'", "arrow": "'<-'"}[kind])
         return None
 
     def expect_kw(self, word: str) -> bool:
@@ -734,3 +745,88 @@ def parse_document(source: str) -> tuple[Document, dict[str, SourceSpan]]:
             first.setdefault(err.span, err)
         raise MarkupError(sorted(first.values(), key=lambda e: e.span.offset))
     return doc, parser.block_spans
+
+
+# The survey tables as written by hand before the per-type maps and the
+# proof-dialogue index were derived from Tables 1 and 3.  The library's
+# tables must equal these.
+_TABLE1: dict[tuple[SituationKind, MainGoal], DialogueType] = {
+    (SituationKind.CONFLICT, MainGoal.STABLE_RESOLUTION): DialogueType.PERSUASION,
+    (SituationKind.CONFLICT, MainGoal.PRACTICAL_SETTLEMENT): DialogueType.NEGOTIATION,
+    (SituationKind.CONFLICT, MainGoal.PROVISIONAL_ACCOMMODATION): DialogueType.ERISTIC,
+    (SituationKind.OPEN_PROBLEM, MainGoal.STABLE_RESOLUTION): DialogueType.INQUIRY,
+    (SituationKind.OPEN_PROBLEM, MainGoal.PRACTICAL_SETTLEMENT): DialogueType.DELIBERATION,
+    (SituationKind.INFO_ASYMMETRY, MainGoal.STABLE_RESOLUTION): DialogueType.INFORMATION_SEEKING,
+}
+
+_TABLE3: dict[ProofDialogueType, ProofDialogueRow] = {
+    ProofDialogueType.PROOF_AS_INQUIRY: ProofDialogueRow(
+        False, "Open-mindedness",
+        "Prove or disprove conjecture", "Contribute to outcome",
+        "Obtain knowledge"),
+    ProofDialogueType.PROOF_AS_PERSUASION: ProofDialogueRow(
+        False, "Difference of opinion",
+        "Resolve difference of opinion with rigour", "Persuade interlocutor",
+        "Persuade prover"),
+    ProofDialogueType.PROOF_AS_PEDAGOGICAL: ProofDialogueRow(
+        False, "Interlocutor lacks information", "Transfer of knowledge",
+        "Disseminate knowledge of results & methods", "Obtain knowledge"),
+    ProofDialogueType.SUSPECT_INFO_SEEKING: ProofDialogueRow(
+        True, "Prover lacks information", "Transfer of knowledge",
+        "Obtain information", "Presumably inscrutable"),
+    ProofDialogueType.SUSPECT_DELIBERATION: ProofDialogueRow(
+        True, "Open-mindedness",
+        "Reach a provisional conclusion", "Contribute to outcome",
+        "Obtain warranted belief"),
+    ProofDialogueType.SUSPECT_NEGOTIATION: ProofDialogueRow(
+        True, "Difference of opinion",
+        "Exchange resources for a provisional conclusion",
+        "Contribute to outcome", "Maximize value of exchange"),
+    ProofDialogueType.SUSPECT_ERISTIC: ProofDialogueRow(
+        True, "Irreconcilable difference of opinion", "Reveal deeper conflict",
+        "Clarify position", "Clarify position"),
+}
+
+_CONFLICT = InitialSituation(SituationKind.CONFLICT)
+_OPEN_PROBLEM = InitialSituation(SituationKind.OPEN_PROBLEM)
+
+_PROOF_ROWS: dict[tuple[InitialSituation, MainGoal], ProofDialogueType] = {
+    (_OPEN_PROBLEM, MainGoal.STABLE_RESOLUTION):
+        ProofDialogueType.PROOF_AS_INQUIRY,
+    (_OPEN_PROBLEM, MainGoal.PRACTICAL_SETTLEMENT):
+        ProofDialogueType.SUSPECT_DELIBERATION,
+    (_CONFLICT, MainGoal.STABLE_RESOLUTION):
+        ProofDialogueType.PROOF_AS_PERSUASION,
+    (_CONFLICT, MainGoal.PRACTICAL_SETTLEMENT):
+        ProofDialogueType.SUSPECT_NEGOTIATION,
+    (InitialSituation(SituationKind.CONFLICT, irreconcilable=True),
+     MainGoal.PROVISIONAL_ACCOMMODATION): ProofDialogueType.SUSPECT_ERISTIC,
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.INTERLOCUTOR_LACKS),
+     MainGoal.STABLE_RESOLUTION): ProofDialogueType.PROOF_AS_PEDAGOGICAL,
+    (InitialSituation(SituationKind.INFO_ASYMMETRY,
+                      AsymmetryDirection.PROVER_LACKS),
+     MainGoal.STABLE_RESOLUTION): ProofDialogueType.SUSPECT_INFO_SEEKING,
+}
+
+GOAL_OF_TYPE: dict[DialogueType, MainGoal] = {
+    DialogueType.PERSUASION: MainGoal.STABLE_RESOLUTION,
+    DialogueType.INQUIRY: MainGoal.STABLE_RESOLUTION,
+    DialogueType.INFORMATION_SEEKING: MainGoal.STABLE_RESOLUTION,
+    DialogueType.PEDAGOGICAL: MainGoal.STABLE_RESOLUTION,
+    DialogueType.DELIBERATION: MainGoal.PRACTICAL_SETTLEMENT,
+    DialogueType.NEGOTIATION: MainGoal.PRACTICAL_SETTLEMENT,
+    DialogueType.ERISTIC: MainGoal.PROVISIONAL_ACCOMMODATION,
+    DialogueType.DEBATE: MainGoal.PROVISIONAL_ACCOMMODATION,
+}
+
+SITUATION_OF_TYPE: dict[DialogueType, SituationKind] = {
+    DialogueType.PERSUASION: SituationKind.CONFLICT,
+    DialogueType.NEGOTIATION: SituationKind.CONFLICT,
+    DialogueType.ERISTIC: SituationKind.CONFLICT,
+    DialogueType.DEBATE: SituationKind.CONFLICT,
+    DialogueType.INQUIRY: SituationKind.OPEN_PROBLEM,
+    DialogueType.DELIBERATION: SituationKind.OPEN_PROBLEM,
+    DialogueType.INFORMATION_SEEKING: SituationKind.INFO_ASYMMETRY,
+    DialogueType.PEDAGOGICAL: SituationKind.INFO_ASYMMETRY,
+}

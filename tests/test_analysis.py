@@ -1,4 +1,7 @@
+import pytest
+
 from prooftalk import analysis
+from prooftalk.markup import parse_document
 
 
 def test_segments_each_dialogue_once(corpus, monkeypatch):
@@ -13,3 +16,50 @@ def test_segments_each_dialogue_once(corpus, monkeypatch):
     doc = corpus["shift_illicit"][1]
     analysis.analyze_document(doc)
     assert calls == [doc.dialogues[n].moves for n in sorted(doc.dialogues)]
+
+
+def classified(dialogue_type, prover, interlocutor):
+    """The `classify` entry of a lone dialogue with these stances."""
+    doc = parse_document(f'''prop p: "P"
+dialogue "d" {{
+  type: {dialogue_type}
+  participants: a, b
+  stance a p: {prover}
+  stance b p: {interlocutor}
+}}''')
+    return analysis.classify_document(doc)["d"]
+
+
+@pytest.mark.parametrize("dialogue_type, prover, interlocutor, entry", [
+    ("inquiry", "true", "true", {
+        "declared_type": "inquiry", "main_goal": "stable_resolution",
+        "initial_situation": "no_dispute", "proof_dialogue": None,
+        "note": "participants already agree; no dialogue arises"}),
+    ("eristic", "true", "false", {
+        "declared_type": "eristic", "main_goal": "provisional_accommodation",
+        "initial_situation": "conflict", "proof_dialogue": "suspect_eristic",
+        "suspect": True}),
+    ("debate", "false", "true", {
+        "declared_type": "debate", "main_goal": "provisional_accommodation",
+        "initial_situation": "conflict", "proof_dialogue": "suspect_eristic",
+        "suspect": True}),
+    ("information_seeking", "true", "unknown", {
+        "declared_type": "information_seeking",
+        "main_goal": "stable_resolution",
+        "initial_situation": "info_asymmetry",
+        "asymmetry_direction": "interlocutor_lacks",
+        "proof_dialogue": "proof_as_pedagogical", "suspect": False}),
+    ("pedagogical", "unknown", "false", {
+        "declared_type": "pedagogical", "main_goal": "stable_resolution",
+        "initial_situation": "info_asymmetry",
+        "asymmetry_direction": "prover_lacks",
+        "proof_dialogue": "suspect_info_seeking", "suspect": True}),
+    ("eristic", "unknown", "unknown", {
+        "declared_type": "eristic", "main_goal": "provisional_accommodation",
+        "initial_situation": "open_problem", "proof_dialogue": None,
+        "note": "no proof dialogue arises from open_problem with goal "
+                "provisional_accommodation"}),
+], ids=["no_dispute", "eristic_irreconcilable", "debate_irreconcilable",
+        "information_seeking", "pedagogical", "undefined_cell"])
+def test_classification_entry(dialogue_type, prover, interlocutor, entry):
+    assert classified(dialogue_type, prover, interlocutor) == entry

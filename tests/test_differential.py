@@ -1,7 +1,8 @@
 """The linear-time cycle, link and challenge checks, the dialogue
-replay fold, the regex tokenizer and the parser agree with the reference
-versions in `oracles`, and the CLI output on the shipped corpus matches
-the recorded golden output byte for byte."""
+replay fold, the regex tokenizer, the parser and the derived survey
+tables agree with the reference versions in `oracles`, and the CLI
+output on the shipped corpus matches the recorded golden output byte
+for byte."""
 
 import json
 from pathlib import Path
@@ -38,6 +39,7 @@ from prooftalk.model import (
     add_link,
 )
 from prooftalk.shifts import Segment, segment_moves
+from prooftalk import typology
 from prooftalk.typology import DialogueType, Stance
 
 N_ARGS = 6
@@ -318,6 +320,12 @@ def test_parse_document_matches_reference(source):
 @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
 def test_parse_document_matches_reference_on_fixtures(path):
     assert_parse_matches_reference(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", [
+    "_TABLE1", "GOAL_OF_TYPE", "SITUATION_OF_TYPE", "_TABLE3", "_PROOF_ROWS"])
+def test_survey_table_matches_reference(name):
+    assert getattr(typology, name) == getattr(oracles, name)
 
 
 GOLDEN = json.loads(

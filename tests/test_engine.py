@@ -5,6 +5,7 @@ import pytest
 from prooftalk.analysis import analyze_document
 from prooftalk.engine import (
     DialogueState,
+    GoalVerdict,
     Move,
     MoveKind,
     Participant,
@@ -278,6 +279,30 @@ class TestGoalAchieved:
                              participants(Stance.TRUE, Stance.FALSE))
         verdict = goal_achieved(state)
         assert verdict.achieved  # seeded stores already make positions explicit
+
+    @pytest.mark.parametrize("dtype", [DialogueType.INFORMATION_SEEKING,
+                                       DialogueType.PEDAGOGICAL])
+    def test_information_transfer_goal(self, dtype):
+        state = new_dialogue(dtype, "p1",
+                             participants(Stance.TRUE, Stance.UNKNOWN))
+        assert goal_achieved(state) == GoalVerdict(
+            False, "seeker has not acquired the information")
+        state = apply_move(state, Move(1, "alice", MoveKind.ASSERT, "p1"))
+        state = apply_move(state, Move(2, "bob", MoveKind.CONCEDE, "p1"))
+        assert goal_achieved(state) == GoalVerdict(
+            True, "knowledge transferred to the seeker")
+
+    def test_deliberation_without_settlement(self):
+        state = new_dialogue(DialogueType.DELIBERATION, "p1", participants())
+        assert goal_achieved(state) == GoalVerdict(
+            False, "no settlement proposition designated")
+
+    def test_eristic_position_withdrawn(self):
+        state = new_dialogue(DialogueType.ERISTIC, "p1",
+                             participants(Stance.TRUE, Stance.FALSE))
+        state = apply_move(state, Move(1, "alice", MoveKind.RETRACT, "p1"))
+        assert goal_achieved(state) == GoalVerdict(
+            False, "positions not yet explicit")
 
     def test_inquiry_achievement_implies_no_dispute(self):
         from prooftalk.typology import NoDispute, infer_initial_situation

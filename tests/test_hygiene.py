@@ -1,8 +1,9 @@
 """Source hygiene, read from the syntax tree of each module: no unused
 imports, and the layering the analysis pipeline relies on (the engine
 does not reach up into shift analysis; the CLI goes through the
-pipeline rather than the layers beneath it).  Also: the CLI's fixture
-list names exactly the fixture files the package ships."""
+pipeline rather than the layers beneath it), and the CLI is the one
+module that writes JSON.  Also: the CLI's fixture list names exactly the
+fixture files the package ships."""
 
 import ast
 from pathlib import Path
@@ -60,6 +61,18 @@ def test_engine_imports_nothing_from_shifts():
 
 def test_cli_imports_neither_engine_nor_shifts():
     assert not {"engine", "shifts"} & imported_modules(tree_of("cli.py"))
+
+
+def test_only_the_cli_imports_json():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(tree_of(path.name)):
+            if (isinstance(node, ast.Import)
+                    and any(a.name == "json" for a in node.names)
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "json"):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
 
 
 def test_fixture_names_list_every_shipped_fixture():

@@ -18,6 +18,8 @@ from prooftalk.markup import (
 )
 from prooftalk.model import (
     ArgumentGraph,
+    Link,
+    LinkRole,
     Proposition,
     Qualifier,
     QualifierKind,
@@ -165,8 +167,20 @@ class TestParseDocument:
             parse_document(src)
         assert [(e.span.line, e.span.column, e.message)
                 for e in exc.value.errors] == [
-            (2, 23, "expected colon, found x"),
+            (2, 23, "expected ':', found x"),
             (4, 1, "expected '}', found <end of input>")]
+
+    @pytest.mark.parametrize("src, message", [
+        ('prop p "x"', "expected ':', found x"),
+        ('argument "a" x', "expected '{', found x"),
+        ('argument "a" { uses c1 argument "b" }',
+         "expected '<-', found argument"),
+        ('proof "p" { dialogues: d', "expected '}', found <end of input>"),
+    ])
+    def test_punctuation_is_named_as_written(self, src, message):
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        assert message in [e.message for e in exc.value.errors]
 
     def test_one_error_per_span(self):
         # The token after the missing colon is no slot keyword either;
@@ -176,7 +190,7 @@ class TestParseDocument:
             parse_document(src)
         assert [(e.span.line, e.span.column, e.message)
                 for e in exc.value.errors] == [
-            (3, 13, "expected colon, found W")]
+            (3, 13, "expected ':', found W")]
 
     def test_dialogue_participants_roles_and_stances(self, corpus):
         decl = corpus["wiles_attempt"][1].dialogues["wiles_persuasion"]
@@ -304,12 +318,19 @@ def documents(draw):
             st.none(),
             st.sampled_from([Qualifier(QualifierKind.PROBABLY),
                              Qualifier(QualifierKind.CUSTOM, "beyond doubt")])))
-        graph.arguments[draw(idents)] = ToulminArgument(
-            id=next(iter(graph.arguments), None) or draw(idents),
-            data=(d,), warrant=w, claim=c, qualifier=qualifier)
-        aid = next(iter(graph.arguments))
+        aid = draw(idents)
         graph.arguments[aid] = ToulminArgument(
             id=aid, data=(d,), warrant=w, claim=c, qualifier=qualifier)
+        # A second argument that uses the first one's claim as its
+        # datum or its backing.
+        if draw(st.booleans()):
+            uid = draw(idents.filter(lambda name: name != aid))
+            role = draw(st.sampled_from(LinkRole))
+            graph.arguments[uid] = ToulminArgument(
+                id=uid, warrant=w, claim=prop_ids[3],
+                data=(c,) if role is LinkRole.DATUM else (d,),
+                backing=c if role is LinkRole.BACKING else None)
+            graph.links = (Link(aid, uid, role),)
 
     dialogues = {}
     if draw(st.booleans()):

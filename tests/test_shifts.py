@@ -1,6 +1,6 @@
 import itertools
 
-from prooftalk.engine import Move, MoveKind
+from prooftalk.engine import Move, MoveKind, kind_allowed
 from prooftalk.shifts import (
     Licitness,
     Segment,
@@ -29,6 +29,10 @@ class TestSegmentation:
         ms = moves(("a", A, "p"), ("b", Q, "p"), ("b", C, "p"))
         segs = segment_moves(ms, DialogueType.INQUIRY)
         assert segs == [Segment(1, 3, DialogueType.INQUIRY, False, True)]
+
+    def test_negotiation_allows_every_move_kind(self):
+        # So an undeclared drift always has a candidate type.
+        assert all(kind_allowed(k, DialogueType.NEGOTIATION) for k in MoveKind)
 
     def test_empty_transcript(self):
         assert segment_moves((), DialogueType.INQUIRY) == []

@@ -20,7 +20,7 @@ from prooftalk.typology import (
     dialogue_profile,
     infer_initial_situation,
     proof_dialogue_row,
-    tables_to_json,
+    survey_tables,
 )
 
 
@@ -288,11 +288,16 @@ class TestAssessProofStatus:
 
 
 def test_tables_json_is_deterministic_and_complete():
-    doc = tables_to_json()
-    assert doc == tables_to_json()
-    import json
-    parsed = json.loads(doc)
-    assert len(parsed["profiles"]) == 8
-    assert len(parsed["proof_dialogues"]) == 7
-    assert len(parsed["dialogue_types"]) == 6
-    assert parsed["profiles"]["pedagogical"]["benefits"] == "Reserve transfer"
+    doc = survey_tables()
+    assert doc == survey_tables()
+    assert len(doc["profiles"]) == 8
+    assert len(doc["proof_dialogues"]) == 7
+    assert len(doc["dialogue_types"]) == 6
+    assert doc["profiles"]["pedagogical"]["benefits"] == "Reserve transfer"
+    assert doc["proof_dialogues"]["suspect_eristic"] == {
+        "suspect": True,
+        "initial_situation": "Irreconcilable difference of opinion",
+        "main_goal": "Reveal deeper conflict",
+        "prover_goal": "Clarify position",
+        "interlocutor_goal": "Clarify position",
+    }
