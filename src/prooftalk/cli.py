@@ -133,9 +133,13 @@ def cmd_analyze(args) -> int:
                 lines.append(f"{e['dialogue_id']}: error: {e['error']}")
                 continue
             goal = "achieved" if e["goal"]["achieved"] else "not achieved"
-            lines.append(f"{e['dialogue_id']}: goal {goal} "
-                         f"({e['goal']['reason']}); "
-                         f"{len(e['shifts'])} shift(s)")
+            line = (f"{e['dialogue_id']}: goal {goal} "
+                    f"({e['goal']['reason']}); {len(e['shifts'])} shift(s)")
+            if e["violations"]:
+                first = e["violations"][0]
+                line += (f"; {len(e['violations'])} violation(s), first: "
+                         f"{first['rule']} at turn {first['turn']}")
+            lines.append(line)
         for e in report["proofs"]:
             lines.append(f"proof {e['proof_id']}: {e['status']}")
         text = "\n".join(lines) + "\n"

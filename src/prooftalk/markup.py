@@ -9,7 +9,9 @@ valid document and reparsing it yields a structurally equal document.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
@@ -79,18 +81,16 @@ KEYWORDS = frozenset({"version", *_BLOCK_WORDS, "dialogues", *_ARGUMENT_SLOTS,
                       *_DIALOGUE_ENTRIES, *MOVE_WORDS})
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    span: SourceSpan
-
+# A token is a plain tuple (kind, value, offset, length): its line and
+# column are worked out only when a span is reported.
+_Lexeme = tuple[str, str, int, int]
 
 # One match skips whitespace and comments, then captures one token in the
 # group named after its kind.  A string that does not close, or holds an
 # escape other than \" and \\, matches `badstring` up to the fault.  With
 # no token group matched, the match ends at the end of input or at an
-# illegal character.
+# illegal character.  The pattern matches at every position, so
+# `finditer` never skips text.
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | \#[^\n]*)*
     (?: (?P<arrow><-) | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<colon>:)
@@ -102,44 +102,66 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-def tokenize(source: str) -> list[Token]:
-    """Lex the source into tokens; raises MarkupError with an exact span
-    on an unterminated string, illegal escape or illegal character."""
-    tokens: list[Token] = []
-    line, line_start, counted, pos = 1, 0, 0, 0
-    while True:
-        m = _TOKEN.match(source, pos)
+def _line_starts(source: str) -> list[int]:
+    """The offset at which each line of the source starts.  Only LF ends
+    a line; a CR is whitespace inside it."""
+    return list(accumulate(
+        (len(line) + 1 for line in source.split("\n")[:-1]), initial=0))
+
+
+def _span(line_starts: list[int], offset: int, length: int) -> SourceSpan:
+    """The span at `offset`, with its one-based line and column looked up
+    in the source's line starts."""
+    line = bisect_right(line_starts, offset)
+    return SourceSpan(line, offset - line_starts[line - 1] + 1, offset, length)
+
+
+def tokenize(source: str) -> list[_Lexeme]:
+    """Lex the source into (kind, value, offset, length) tuples; raises
+    MarkupError with an exact span on an unterminated string, illegal
+    escape or illegal character."""
+    tokens: list[_Lexeme] = []
+    append = tokens.append
+    for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        newlines = source.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", counted, start) + 1
-        counted, pos = start, m.end()
-        column = start - line_start + 1
-        if kind == "badstring" and pos < len(source):
-            fault = source[start:pos + 2]  # the escape may end the input
-            raise MarkupError([ParseError(
-                SourceSpan(line, column, start, len(fault)), "string", fault,
-                "illegal escape sequence")])
-        if kind == "badstring":
-            raise MarkupError([ParseError(
-                SourceSpan(line, column, start, 1), "closing quote",
-                source[start:start + 20], "unterminated string")])
-        if kind is None or kind == "word" and not (
-                source[start].isalpha() or source[start] == "_"):
-            if start == len(source):
-                return tokens
-            ch = source[start]
-            raise MarkupError([ParseError(
-                SourceSpan(line, column, start, 1), "token", ch,
-                "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
-        value = m[kind]
+        if kind is None:
+            if m.end() == len(source):
+                break
+            raise _lex_error(source, m.end(), m.end())
+        start, end = m.span(kind)
+        value = source[start:end]
         if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _lex_error(source, start, end)
             kind = "keyword" if value in KEYWORDS else "ident"
         elif kind == "string":
-            value = _ESCAPE.sub(r"\1", value[1:-1])
-        tokens.append(Token(kind, value, SourceSpan(line, column, start, pos - start)))
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "badstring":
+            raise _lex_error(source, start, end)
+        append((kind, value, start, end - start))
+    return tokens
+
+
+def _lex_error(source: str, start: int, end: int) -> MarkupError:
+    """The error for the fault at `start`: a string whose match stops at
+    `end`, on an illegal escape or at the end of input, or else an
+    illegal character."""
+    starts = _line_starts(source)
+    if source[start] != '"':
+        ch = source[start]
+        return MarkupError([ParseError(
+            _span(starts, start, 1), "token", ch,
+            "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
+    if end < len(source):
+        fault = source[start:end + 2]  # the escape may end the input
+        return MarkupError([ParseError(
+            _span(starts, start, len(fault)), "string", fault,
+            "illegal escape sequence")])
+    return MarkupError([ParseError(
+        _span(starts, start, 1), "closing quote", source[start:start + 20],
+        "unterminated string")])
 
 
 @dataclass(frozen=True)
@@ -169,34 +191,45 @@ class Document:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end: SourceSpan):
-        tokens.append(Token("eof", "<end of input>", end))
+    """Reads tokens as (kind, value, offset, length) tuples: `tok[0]` is
+    the kind and `tok[1]` the value."""
+
+    def __init__(self, tokens: list[_Lexeme], source: str):
+        tokens.append(("eof", "<end of input>", len(source), 0))
         self.tokens = tokens
+        self.source = source
+        # Built by the first span reported, if any.
+        self.line_starts: Optional[list[int]] = None
         self.pos = 0
         self.errors: list[ParseError] = []
         self.doc = Document()
-        # (slot_id, source_arg_name, target_arg_name, span)
-        self.uses: list[tuple[str, str, str, SourceSpan]] = []
-        # (prop_id, span) references to resolve after the full parse
-        self.pending_refs: list[tuple[str, SourceSpan]] = []
+        # (slot id token, source_arg_name, target_arg_name)
+        self.uses: list[tuple[_Lexeme, str, str]] = []
+        # proposition id tokens to resolve after the full parse
+        self.pending_refs: list[_Lexeme] = []
 
-    def peek(self) -> Token:
+    def span(self, tok: _Lexeme) -> SourceSpan:
+        if self.line_starts is None:
+            self.line_starts = _line_starts(self.source)
+        return _span(self.line_starts, tok[2], tok[3])
+
+    def peek(self) -> _Lexeme:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> _Lexeme:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def error(self, expected: str, tok: Optional[Token] = None,
+    def error(self, expected: str, tok: Optional[_Lexeme] = None,
               hint: Optional[str] = None) -> None:
         tok = tok or self.peek()
-        self.errors.append(ParseError(tok.span, expected, tok.value, hint))
+        self.errors.append(ParseError(self.span(tok), expected, tok[1], hint))
 
-    def expect(self, kind: str, expected: Optional[str] = None) -> Optional[Token]:
+    def expect(self, kind: str, expected: Optional[str] = None) -> Optional[_Lexeme]:
         tok = self.peek()
-        if tok.kind == kind:
+        if tok[0] == kind:
             return self.next()
         self.error(expected or _SHOWN[kind])
         return None
@@ -213,40 +246,39 @@ class _Parser:
         Type, stance and qualifier words are identifiers; move kinds are
         keywords."""
         tok = self.next()
-        if tok.kind in ("ident", "keyword") and tok.value in table:
-            return table[tok.value]
+        if tok[0] in ("ident", "keyword") and tok[1] in table:
+            return table[tok[1]]
         self.error(expected, tok)
         return None
 
-    def ident_list(self, expected: str) -> list[Token]:
+    def ident_list(self, expected: str) -> list[_Lexeme]:
         """A comma-separated identifier list; missing entries are errors."""
         idents = [self.expect("ident", expected)]
-        while self.peek().kind == "comma":
+        while self.peek()[0] == "comma":
             self.next()
             idents.append(self.expect("ident", expected))
         return [ident for ident in idents if ident is not None]
 
     def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value in words
+        kind, value, _, _ = self.peek()
+        return kind == "keyword" and value in words
 
     def skip_block(self) -> None:
         """Recovery: skip to the end of the current block or to the next
         top-level declaration keyword."""
         depth = 0
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.peek()[0] != "eof":
             if depth == 0 and self.at_kw(*_BLOCK_WORDS):
                 return
-            self.next()
-            if tok.kind == "lbrace":
+            kind = self.next()[0]
+            if kind == "lbrace":
                 depth += 1
-            elif tok.kind == "rbrace":
+            elif kind == "rbrace":
                 depth -= 1
                 if depth <= 0:
                     return
 
-    def open_block(self, what: str) -> Optional[tuple[Token, Token]]:
+    def open_block(self, what: str) -> Optional[tuple[_Lexeme, _Lexeme]]:
         """`keyword "name" {`: the keyword and name tokens, or None after
         skipping a malformed block."""
         kw = self.next()
@@ -256,18 +288,20 @@ class _Parser:
             return None
         return kw, name
 
-    def entries(self, expected: str, words: frozenset[str]) -> Iterator[Token]:
-        """Each entry keyword of a block body, through its closing `}`;
-        any other token is reported and skipped."""
+    def entries(self, expected: str,
+                words: frozenset[str]) -> Iterator[tuple[str, _Lexeme]]:
+        """Each entry keyword of a block body, as its word and its token,
+        through the closing `}`; any other token is reported and skipped."""
         while True:
             tok = self.next()
-            if tok.kind == "rbrace":
+            kind, value = tok[0], tok[1]
+            if kind == "rbrace":
                 return
-            if tok.kind == "eof":
+            if kind == "eof":
                 self.error("'}'", tok)
                 return
-            if tok.kind == "keyword" and tok.value in words:
-                yield tok
+            if kind == "keyword" and value in words:
+                yield value, tok
             else:
                 self.error(expected, tok)
 
@@ -279,14 +313,13 @@ class _Parser:
         text = self.expect("string", "proposition text")
         if text is None:
             return None
-        pid = ident.value
+        pid = ident[1]
         existing = self.doc.graph.propositions.get(pid)
         if existing is None:
-            self.doc.graph.propositions[pid] = Proposition(pid, text.value)
-        elif existing.text != text.value:
-            self.errors.append(ParseError(
-                ident.span, "fresh proposition id", pid,
-                "duplicate id with conflicting text"))
+            self.doc.graph.propositions[pid] = Proposition(pid, text[1])
+        elif existing.text != text[1]:
+            self.error("fresh proposition id", ident,
+                       "duplicate id with conflicting text")
         return pid
 
     # --- top level ---------------------------------------------------
@@ -295,9 +328,9 @@ class _Parser:
         if self.at_kw("version"):
             self.next()
             self.expect("int", "version number")
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             if self.at_kw(*_BLOCK_WORDS):
-                getattr(self, "parse_" + self.peek().value)()
+                getattr(self, "parse_" + self.peek()[1])()
             else:
                 self.error("'prop', 'argument', 'dialogue' or 'proof'")
                 self.skip_block()
@@ -316,33 +349,33 @@ class _Parser:
         block = self.open_block("argument")
         if block is None:
             return
-        kw, name = block
-        if name.value in self.doc.graph.arguments:
-            self.error("fresh argument name", name, "duplicate argument")
+        kw, name_tok = block
+        name = name_tok[1]
+        if name in self.doc.graph.arguments:
+            self.error("fresh argument name", name_tok, "duplicate argument")
         repeated: dict[str, list[str]] = {"data": [], "rebuttal": []}
         single: dict[str, Optional[str]] = dict.fromkeys(
             ("warrant", "backing", "claim"))
         qualifier: Optional[Qualifier] = None
-        for entry in self.entries("argument slot keyword", _ARGUMENT_SLOTS):
-            if entry.value == "qualifier":
+        for word, _ in self.entries("argument slot keyword", _ARGUMENT_SLOTS):
+            if word == "qualifier":
                 if self.expect("colon"):
                     qualifier = self.parse_qualifier() or qualifier
-            elif entry.value == "uses":
+            elif word == "uses":
                 ident = self.expect("ident", "slot proposition id")
                 if ident and self.expect("arrow") and self.expect_kw("argument"):
                     src = self.expect("string", "argument name")
                     if src:
-                        self.uses.append(
-                            (ident.value, src.value, name.value, ident.span))
+                        self.uses.append((ident, src[1], name))
             elif (pid := self.named_prop()) is not None:
-                if entry.value in repeated:
-                    repeated[entry.value].append(pid)
+                if word in repeated:
+                    repeated[word].append(pid)
                 else:
-                    single[entry.value] = pid
-        self.doc.graph.arguments[name.value] = ToulminArgument(
-            name.value, tuple(repeated["data"]), qualifier=qualifier,
+                    single[word] = pid
+        self.doc.graph.arguments[name] = ToulminArgument(
+            name, tuple(repeated["data"]), qualifier=qualifier,
             rebuttals=tuple(repeated["rebuttal"]), **single)
-        self.doc.argument_spans[name.value] = kw.span
+        self.doc.argument_spans[name] = self.span(kw)
 
     def parse_qualifier(self) -> Optional[Qualifier]:
         kind = self.lookup(QUALIFIER_WORDS, "qualifier keyword")
@@ -351,12 +384,12 @@ class _Parser:
         label = self.expect("string", "custom qualifier label")
         if label is None:
             return None
-        if not label.value:
+        if not label[1]:
             self.errors.append(ParseError(
-                label.span, "custom qualifier label", '""',
+                self.span(label), "custom qualifier label", '""',
                 "a custom label must be non-empty"))
             return None
-        return Qualifier(kind, label.value)
+        return Qualifier(kind, label[1])
 
     # --- dialogue blocks ---------------------------------------------
 
@@ -364,32 +397,34 @@ class _Parser:
         block = self.open_block("dialogue")
         if block is None:
             return
-        _, name = block
-        if name.value in self.doc.dialogues:
-            self.error("fresh dialogue name", name, "duplicate dialogue")
+        _, name_tok = block
+        name = name_tok[1]
+        if name in self.doc.dialogues:
+            self.error("fresh dialogue name", name_tok, "duplicate dialogue")
 
         declared_type: Optional[DialogueType] = None
         order: list[str] = []
-        order_tok: Optional[Token] = None
+        order_tok = name_tok
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
         settlement: Optional[str] = None
         moves: list[Move] = []
 
-        for entry in self.entries("dialogue entry keyword", _DIALOGUE_ENTRIES):
-            if entry.value == "type":
+        for word, entry in self.entries("dialogue entry keyword",
+                                        _DIALOGUE_ENTRIES):
+            if word == "type":
                 if self.expect("colon"):
                     declared_type = (self.lookup(TYPE_WORDS, "dialogue type name")
                                      or declared_type)
-            elif entry.value == "participants":
+            elif word == "participants":
                 order_tok = entry
                 if self.expect("colon"):
                     for ident in self.ident_list("participant id"):
-                        if ident.value in order:
+                        if ident[1] in order:
                             self.error("fresh participant id", ident,
                                        "duplicate participant")
-                        order.append(ident.value)
-            elif entry.value == "stance":
+                        order.append(ident[1])
+            elif word == "stance":
                 pid = self.expect("ident", "participant id")
                 prop = self.expect("ident", "proposition id")
                 if not (pid and prop and self.expect("colon")):
@@ -397,18 +432,18 @@ class _Parser:
                 stance = self.lookup(STANCE_WORDS, "'true', 'false' or 'unknown'")
                 if stance is None:
                     continue
-                stances[pid.value] = stance
-                if crucial is not None and crucial != prop.value:
+                stances[pid[1]] = stance
+                if crucial is not None and crucial != prop[1]:
                     self.error("the crucial proposition", prop,
                                "stance lines must share one proposition")
                 else:
-                    crucial = prop.value
-                    self.pending_refs.append((prop.value, prop.span))
-            elif entry.value == "settlement":
+                    crucial = prop[1]
+                    self.pending_refs.append(prop)
+            elif word == "settlement":
                 ident = self.expect("ident", "proposition id")
                 if ident:
-                    settlement = ident.value
-                    self.pending_refs.append((ident.value, ident.span))
+                    settlement = ident[1]
+                    self.pending_refs.append(ident)
             else:  # move
                 turn = self.expect("int", "turn number")
                 speaker = self.expect("ident", "speaker id")
@@ -418,24 +453,23 @@ class _Parser:
                 subject: Union[str, DialogueType, None] = None
                 if kind is MoveKind.DECLARE_SHIFT:
                     subject = self.lookup(TYPE_WORDS, "dialogue type name")
-                elif (subj_tok := self.next()).kind == "ident":
-                    subject = subj_tok.value
-                    self.pending_refs.append((subj_tok.value, subj_tok.span))
+                elif (subj_tok := self.next())[0] == "ident":
+                    subject = subj_tok[1]
+                    self.pending_refs.append(subj_tok)
                 else:
                     self.error("proposition id", subj_tok)
                 if turn and speaker and subject is not None:
-                    moves.append(Move(int(turn.value), speaker.value,
-                                      kind, subject))
+                    moves.append(Move(int(turn[1]), speaker[1], kind, subject))
 
         if declared_type is None:
-            self.error("'type' declaration in dialogue block", name)
+            self.error("'type' declaration in dialogue block", name_tok)
             return
         if crucial is None:
-            self.error("at least one 'stance' line in dialogue block", name)
+            self.error("at least one 'stance' line in dialogue block", name_tok)
             return
         if len(order) != 2:
             self.errors.append(ParseError(
-                (order_tok or name).span, "exactly two participants",
+                self.span(order_tok), "exactly two participants",
                 str(len(order)), "dialogues are two-party"))
         participants = tuple(
             Participant(pid,
@@ -444,10 +478,10 @@ class _Parser:
             for i, pid in enumerate(order))
         for pid in stances:
             if pid not in order:
-                self.error("declared participant", name,
+                self.error("declared participant", name_tok,
                            f"stance for unknown participant '{pid}'")
-        self.doc.dialogues[name.value] = DialogueDecl(
-            name.value, declared_type, participants, crucial, settlement,
+        self.doc.dialogues[name] = DialogueDecl(
+            name, declared_type, participants, crucial, settlement,
             tuple(moves))
 
     # --- proof blocks ------------------------------------------------
@@ -456,27 +490,30 @@ class _Parser:
         block = self.open_block("proof")
         if block is None:
             return
-        kw, name = block
+        kw, name_tok = block
+        name = name_tok[1]
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
-            names = [ident.value for ident in self.ident_list("dialogue name")]
+            names = [ident[1] for ident in self.ident_list("dialogue name")]
         self.expect("rbrace")
         for n in names:
             if n not in self.doc.dialogues:
                 self.error("declared dialogue name", kw,
-                           f"proof '{name.value}' references unknown "
+                           f"proof '{name}' references unknown "
                            f"dialogue '{n}'")
-        self.doc.proofs[name.value] = ProofDecl(name.value, tuple(names))
+        self.doc.proofs[name] = ProofDecl(name, tuple(names))
 
     # --- resolution --------------------------------------------------
 
     def resolve_uses(self) -> None:
         graph = self.doc.graph
         links: set[Link] = set()
-        for slot_id, src, target, span in self.uses:
+        for ident, src, target in self.uses:
+            slot_id = ident[1]
             if src not in graph.arguments:
                 self.errors.append(ParseError(
-                    span, "declared argument", src, "unknown source argument"))
+                    self.span(ident), "declared argument", src,
+                    "unknown source argument"))
                 continue
             target_arg = graph.arguments[target]
             if slot_id in target_arg.data:
@@ -484,42 +521,32 @@ class _Parser:
             elif slot_id == target_arg.backing:
                 role = LinkRole.BACKING
             else:
-                self.errors.append(ParseError(
-                    span, "a datum or backing of this argument", slot_id,
-                    "uses clause must name a local slot"))
+                self.error("a datum or backing of this argument", ident,
+                           "uses clause must name a local slot")
                 continue
             if graph.arguments[src].claim != slot_id:
-                self.errors.append(ParseError(
-                    span, f"claim of argument '{src}'", slot_id,
-                    "source claim does not match the slot"))
+                self.error(f"claim of argument '{src}'", ident,
+                           "source claim does not match the slot")
                 continue
             links.add(Link(src, target, role))
         graph.links = tuple(sorted(links, key=_LINK_ORDER))
         if _has_cycle(graph.links):
             # A cycle needs links, so there is a `uses` line to anchor it.
             self.errors.append(ParseError(
-                self.uses[-1][3], "acyclic support links", "uses",
+                self.span(self.uses[-1][0]), "acyclic support links", "uses",
                 "support cycle between arguments"))
 
     def resolve_refs(self) -> None:
-        for pid, span in self.pending_refs:
-            if pid not in self.doc.graph.propositions:
-                self.errors.append(ParseError(
-                    span, "declared proposition", pid, "dangling reference"))
-
-
-def _end_span(source: str) -> SourceSpan:
-    """The empty span just past the last character of the source."""
-    line_start = source.rfind("\n") + 1
-    return SourceSpan(source.count("\n") + 1, len(source) - line_start + 1,
-                      len(source), 0)
+        for tok in self.pending_refs:
+            if tok[1] not in self.doc.graph.propositions:
+                self.error("declared proposition", tok, "dangling reference")
 
 
 def parse_document(source: str) -> Document:
     """Parse markup text; raises MarkupError listing every recoverable
     error, the first one earliest in the source.  A span holds at most
     one error, the first one found there."""
-    parser = _Parser(tokenize(source), _end_span(source))
+    parser = _Parser(tokenize(source), source)
     doc = parser.parse()
     if parser.errors:
         first: dict[SourceSpan, ParseError] = {}

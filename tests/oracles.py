@@ -7,13 +7,15 @@ every move), the character-by-character tokenizer that the master-regex
 one replaced, and the parser whose block parsers each repeated the block
 head, the entry loop and the slot rule.  They define the expected
 answers: the library functions must agree with them on every input the
-tests generate.  The survey tables that `typology` now derives from
+tests generate.  The reference tokenizer builds a `Token` with a full
+`SourceSpan` for every token, as the library's did before it returned
+offset tuples.  The survey tables that `typology` now derives from
 Tables 1 and 3 are kept here as they were written out by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from prooftalk.engine import (
@@ -40,8 +42,6 @@ from prooftalk.markup import (
     ParseError,
     ProofDecl,
     SourceSpan,
-    Token,
-    _end_span,
 )
 from prooftalk.model import (
     ArgumentGraph,
@@ -256,6 +256,20 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
             return ReplayResult(state, ViolationInfo(
                 move.turn, exc.rule, str(exc)))
     return ReplayResult(state)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    value: str
+    span: SourceSpan
+
+
+def _end_span(source: str) -> SourceSpan:
+    """The empty span just past the last character of the source."""
+    line_start = source.rfind("\n") + 1
+    return SourceSpan(source.count("\n") + 1, len(source) - line_start + 1,
+                      len(source), 0)
 
 
 _DIGITS = frozenset("0123456789")

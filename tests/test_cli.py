@@ -261,6 +261,19 @@ class TestAnalyze:
         violation = report["dialogues"][0]["violations"][0]
         assert violation["rule"] == "retract-without-commitment"
 
+    def test_text_format_says_why_it_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "order.arg"
+        path.write_text(
+            'prop p: "x"\n'
+            'dialogue "d" {\n  type: persuasion\n  participants: a, b\n'
+            '  stance a p: true\n  stance b p: false\n'
+            '  move 1 a assert p\n  move 1 b assert p\n}\n',
+            encoding="utf-8")
+        assert main(["analyze", str(path), "--format", "text"]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == (
+            "d: goal not achieved (dissenting party was not persuaded); "
+            "0 shift(s); 1 violation(s), first: turn-out-of-order at turn 1\n")
+
     def test_stance_mismatch_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "mismatch.arg"
         path.write_text(

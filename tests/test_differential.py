@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from test_fuzz import documents as fragment_documents
+from test_markup import spanned_tokens
 from prooftalk.cli import fixture_paths, main
 from prooftalk.engine import (
     DialogueState,
@@ -26,7 +27,7 @@ from prooftalk.engine import (
     new_dialogue,
     replay_moves,
 )
-from prooftalk.markup import MarkupError, parse_document, tokenize
+from prooftalk.markup import MarkupError, _line_starts, _span, parse_document
 from prooftalk.model import (
     ArgumentGraph,
     CycleError,
@@ -283,16 +284,43 @@ edge_sources = st.lists(
     st.one_of(edge_text, edge_text.map('"{}"'.format))).map("".join)
 
 
+def reference_tokens(source):
+    return [(t.kind, t.value, t.span) for t in oracles.tokenize(source)]
+
+
+def assert_tokenize_matches_reference(source):
+    """The same kinds, values and spans (line, column, offset, length),
+    the library's spans rebuilt from its offset tuples, or the same
+    errors."""
+    assert markup_outcome(spanned_tokens, source) == \
+        markup_outcome(reference_tokens, source)
+
+
 @settings(max_examples=500)
 @given(st.one_of(st.text(), edge_sources))
 def test_tokenize_matches_reference(source):
-    assert markup_outcome(tokenize, source) == markup_outcome(oracles.tokenize, source)
+    assert_tokenize_matches_reference(source)
 
 
 @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
 def test_tokenize_matches_reference_on_fixtures(path):
-    source = path.read_text(encoding="utf-8")
-    assert markup_outcome(tokenize, source) == markup_outcome(oracles.tokenize, source)
+    assert_tokenize_matches_reference(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300)
+@example("")
+@example("\n")
+@example("a\r\nb\r\n")
+@example("a\rb\r")
+@given(st.one_of(edge_sources, st.text(" \r\nab")))
+def test_span_helper_matches_a_direct_count(source):
+    # Only LF ends a line: a CR, alone or before LF, is inside its line.
+    starts = _line_starts(source)
+    for offset in range(len(source) + 1):
+        span = _span(starts, offset, 0)
+        assert span.line == source.count("\n", 0, offset) + 1
+        assert span.column == offset - (source.rfind("\n", 0, offset) + 1) + 1
+        assert (span.offset, span.length) == (offset, 0)
 
 
 def assert_parse_matches_reference(source):

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prooftalk import markup
+from prooftalk.cli import fixture_paths
 from prooftalk.engine import Move, MoveKind, Participant, Role
 from prooftalk.markup import (
     KEYWORDS,
@@ -12,6 +14,8 @@ from prooftalk.markup import (
     MarkupError,
     ProofDecl,
     SourceSpan,
+    _line_starts,
+    _span,
     parse_document,
     serialize,
     tokenize,
@@ -28,10 +32,18 @@ from prooftalk.model import (
 from prooftalk.typology import DialogueType, Stance
 
 
+def spanned_tokens(source):
+    """The tokens as (kind, value, SourceSpan), each span built from the
+    token's offset and length through the span helper."""
+    starts = _line_starts(source)
+    return [(kind, value, _span(starts, offset, length))
+            for kind, value, offset, length in tokenize(source)]
+
+
 class TestTokenize:
     def test_claim_line(self):
         tokens = tokenize('claim c: "Four colours suffice"')
-        assert [(t.kind, t.value) for t in tokens] == [
+        assert [(kind, value) for kind, value, _, _ in tokens] == [
             ("keyword", "claim"), ("ident", "c"), ("colon", ":"),
             ("string", "Four colours suffice")]
 
@@ -47,7 +59,7 @@ class TestTokenize:
 
     def test_string_escapes(self):
         tokens = tokenize(r'"a \"quoted\" \\ backslash"')
-        assert tokens[0].value == 'a "quoted" \\ backslash'
+        assert tokens[0][1] == 'a "quoted" \\ backslash'
 
     def test_escape_at_end_of_input_stays_inside_the_source(self):
         with pytest.raises(MarkupError) as exc:
@@ -70,17 +82,38 @@ class TestTokenize:
 
     def test_spans_are_one_based_and_accurate(self):
         src = 'prop x: "hi"\nprop y: "ho"'
-        tokens = tokenize(src)
-        y = [t for t in tokens if t.value == "y"][0]
-        assert (y.span.line, y.span.column) == (2, 6)
-        assert src[y.span.offset:y.span.offset + y.span.length] == "y"
+        span = [span for _, value, span in spanned_tokens(src)
+                if value == "y"][0]
+        assert (span.line, span.column) == (2, 6)
+        assert src[span.offset:span.offset + span.length] == "y"
 
     def test_deterministic(self):
         src = 'argument "a" { data d: "x" }'
         assert tokenize(src) == tokenize(src)
 
     def test_arrow_token(self):
-        assert tokenize("<-")[0].kind == "arrow"
+        assert tokenize("<-")[0][0] == "arrow"
+
+    def test_tokens_are_offset_tuples(self):
+        assert tokenize('prop p: "x"\n') == [
+            ("keyword", "prop", 0, 4), ("ident", "p", 5, 1),
+            ("colon", ":", 6, 1), ("string", "x", 8, 3)]
+
+    @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
+    def test_parse_builds_spans_only_for_arguments(self, path, monkeypatch):
+        # Spans on demand: parsing a valid document builds one SourceSpan
+        # per argument block, for Document.argument_spans, and none for
+        # its other tokens.  The end-of-input token carries only its
+        # offset, so its span is not built eagerly either.
+        built = []
+
+        def counting_span(*args):
+            built.append(args)
+            return SourceSpan(*args)
+
+        monkeypatch.setattr(markup, "SourceSpan", counting_span)
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        assert len(built) == len(doc.argument_spans)
 
 
 class TestParseDocument:
