@@ -11,7 +11,7 @@ from typing import Optional
 
 from .engine import StanceMismatch, goal_achieved, new_dialogue, replay_moves
 from .markup import DialogueDecl, Document
-from .shifts import DEFAULT_SHIFT_WINDOW, detect_shifts, segment_moves
+from .shifts import DEFAULT_SHIFT_WINDOW, Segment, detect_shifts, segment_moves
 from .typology import (
     GOAL_OF_TYPE,
     DialogueType,
@@ -74,6 +74,9 @@ def _analyze_dialogue(decl: DialogueDecl, window: int
     initial = new_dialogue(
         decl.declared_type, decl.crucial, decl.participants, decl.settlement)
     segments = segment_moves(decl.moves, decl.declared_type, window)
+    # The declared type holds before the first move: a turn-0 opening
+    # segment of that type makes a boundary at the first move a shift.
+    opening = Segment(0, 0, decl.declared_type, True)
     result = replay_moves(initial, decl.moves, segments)
     state = result.state
     verdict = goal_achieved(state)
@@ -99,7 +102,7 @@ def _analyze_dialogue(decl: DialogueDecl, window: int
              "to": s.to_type.value, "kind": s.kind.value,
              "mode": s.mode.value, "licitness": s.licitness.value,
              "reason": s.reason}
-            for s in detect_shifts(segments)
+            for s in detect_shifts([opening] + segments)
         ],
         "classification": classification,
     }

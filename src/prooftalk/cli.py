@@ -91,13 +91,15 @@ def cmd_diagram(args) -> int:
     doc = _load(args.path, sys.stderr)
     if isinstance(doc, int):
         return doc
-    errors = [d for d in validate_graph(doc.graph)
-              if d.severity is Severity.ERROR]
-    if errors:
-        for d in errors:
-            print(f"{args.path}: error: {d.message}", file=sys.stderr)
+    try:
+        dot = export_dot(doc.graph)
+    except ValueError:
+        # export_dot names only the first error; report them all.
+        for d in validate_graph(doc.graph):
+            if d.severity is Severity.ERROR:
+                print(f"{args.path}: error: {d.message}", file=sys.stderr)
         return EXIT_DOMAIN
-    return _emit(export_dot(doc.graph), args.out)
+    return _emit(dot, args.out)
 
 
 def cmd_classify(args) -> int:

@@ -116,6 +116,13 @@ class ProtocolViolation(Exception):
         self.turn = turn
 
 
+@dataclass(frozen=True)
+class ViolationInfo:
+    turn: int
+    rule: str
+    message: str
+
+
 def new_dialogue(dialogue_type: DialogueType, crucial: str,
                  participants: tuple[Participant, ...],
                  settlement: Optional[str] = None) -> DialogueState:
@@ -153,92 +160,89 @@ def new_dialogue(dialogue_type: DialogueType, crucial: str,
     )
 
 
-def kind_allowed(kind: MoveKind, dialogue_type: DialogueType) -> bool:
-    """State-independent part of the legality matrix."""
-    if kind is MoveKind.RETRACT:
-        return dialogue_type is not DialogueType.INQUIRY
-    if kind is MoveKind.OFFER:
-        return dialogue_type in (DialogueType.DELIBERATION,
-                                 DialogueType.NEGOTIATION)
-    if kind is MoveKind.THREAT:
-        return dialogue_type is DialogueType.NEGOTIATION
-    return True
-
-
-def _kind_rule_id(kind: MoveKind, dialogue_type: DialogueType) -> str:
-    if kind is MoveKind.RETRACT:
-        return f"retract-forbidden-in-{dialogue_type.value}"
-    if kind is MoveKind.THREAT:
+def kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
+    """The rule a move of the kind breaks under the dialogue type, or None
+    when the type allows the kind: the state-independent part of the
+    legality matrix."""
+    if kind is MoveKind.RETRACT and dialogue_type is DialogueType.INQUIRY:
+        return "retract-forbidden-in-inquiry"
+    if kind is MoveKind.OFFER and dialogue_type not in (
+            DialogueType.DELIBERATION, DialogueType.NEGOTIATION):
+        return "offer-move-outside-settlement-dialogue"
+    if (kind is MoveKind.THREAT
+            and dialogue_type is not DialogueType.NEGOTIATION):
         return "threat-move-outside-negotiation"
-    return f"{kind.value}-move-outside-settlement-dialogue"
+    return None
+
+
+def kind_allowed(kind: MoveKind, dialogue_type: DialogueType) -> bool:
+    return kind_rule(kind, dialogue_type) is None
 
 
 def _check_move(phase: Phase, expected: int, operative: DialogueType,
-                stores: dict[str, dict[str, Polarity]], move: Move) -> None:
-    """Raise ProtocolViolation when the move is illegal.
+                stores: dict[str, dict[str, Polarity]], move: Move
+                ) -> Optional[ViolationInfo]:
+    """The violation the move commits, or None when it is legal.
 
     The dialogue is seen as its phase, the turn expected next, the
     operative type and each participant's commitments by proposition.
     """
     if phase is Phase.CLOSED:
-        raise ProtocolViolation("dialogue-closed",
-                                "no moves after close", move.turn)
+        return ViolationInfo(move.turn, "dialogue-closed",
+                             "no moves after close")
     if move.turn != expected:
-        raise ProtocolViolation(
-            "turn-out-of-order",
-            f"expected turn {expected}, got {move.turn}", move.turn)
+        return ViolationInfo(move.turn, "turn-out-of-order",
+                             f"expected turn {expected}, got {move.turn}")
     own = stores.get(move.speaker)
     if own is None:
-        raise ProtocolViolation("unknown-speaker",
-                                f"no participant '{move.speaker}'", move.turn)
+        return ViolationInfo(move.turn, "unknown-speaker",
+                             f"no participant '{move.speaker}'")
 
     if move.kind is MoveKind.DECLARE_SHIFT:
         if not isinstance(move.subject, DialogueType):
-            raise ProtocolViolation(
-                "shift-target-not-a-type",
-                "declare_shift subject must be a dialogue type", move.turn)
-        return
+            return ViolationInfo(
+                move.turn, "shift-target-not-a-type",
+                "declare_shift subject must be a dialogue type")
+        return None
     if not isinstance(move.subject, str):
-        raise ProtocolViolation(
-            "subject-not-a-proposition",
-            f"{move.kind.value} subject must be a proposition id", move.turn)
+        return ViolationInfo(
+            move.turn, "subject-not-a-proposition",
+            f"{move.kind.value} subject must be a proposition id")
 
-    if not kind_allowed(move.kind, operative):
-        raise ProtocolViolation(
-            _kind_rule_id(move.kind, operative),
-            f"{move.kind.value} is not a {operative.value} move", move.turn)
+    rule = kind_rule(move.kind, operative)
+    if rule is not None:
+        return ViolationInfo(
+            move.turn, rule,
+            f"{move.kind.value} is not a {operative.value} move")
 
     if move.kind is MoveKind.ASSERT:
         if own.get(move.subject) is Polarity.DENIED:
-            raise ProtocolViolation(
-                "conflicting-commitment",
-                f"'{move.speaker}' has denied '{move.subject}'; retract first",
-                move.turn)
+            return ViolationInfo(
+                move.turn, "conflicting-commitment",
+                f"'{move.speaker}' has denied '{move.subject}'; retract first")
     elif move.kind is MoveKind.CHALLENGE:
         if own.get(move.subject) is Polarity.AFFIRMED:
-            raise ProtocolViolation(
-                "challenge-own-assertion",
+            return ViolationInfo(
+                move.turn, "challenge-own-assertion",
                 f"'{move.speaker}' cannot challenge their own commitment to "
-                f"'{move.subject}'", move.turn)
+                f"'{move.subject}'")
         if all(move.subject not in c
                for owner, c in stores.items() if owner != move.speaker):
-            raise ProtocolViolation(
-                "challenge-uncommitted",
-                f"no other participant is committed to '{move.subject}'",
-                move.turn)
+            return ViolationInfo(
+                move.turn, "challenge-uncommitted",
+                f"no other participant is committed to '{move.subject}'")
     elif move.kind is MoveKind.CONCEDE:
         if all(c.get(move.subject) is not Polarity.AFFIRMED
                for owner, c in stores.items() if owner != move.speaker):
-            raise ProtocolViolation(
-                "concede-unasserted",
-                f"no other participant has affirmed '{move.subject}'",
-                move.turn)
+            return ViolationInfo(
+                move.turn, "concede-unasserted",
+                f"no other participant has affirmed '{move.subject}'")
     elif move.kind is MoveKind.RETRACT:
         if move.subject not in own:
-            raise ProtocolViolation(
-                "retract-without-commitment",
-                f"'{move.speaker}' has no commitment to '{move.subject}'",
-                move.turn)
+            return ViolationInfo(
+                move.turn, "retract-without-commitment",
+                f"'{move.speaker}' has no commitment to '{move.subject}'")
+    return None
 
 
 def _next_turn(state: DialogueState) -> int:
@@ -251,7 +255,7 @@ def _commitments(state: DialogueState) -> dict[str, dict[str, Polarity]]:
 
 def _fold(state: DialogueState, moves: tuple[Move, ...],
           switch_at: dict[int, DialogueType]
-          ) -> tuple[DialogueState, Optional[ProtocolViolation]]:
+          ) -> tuple[DialogueState, Optional[ViolationInfo]]:
     """Play the moves from the state until they run out or one is
     illegal: the state then, frozen once, and the violation if any.
 
@@ -265,10 +269,8 @@ def _fold(state: DialogueState, moves: tuple[Move, ...],
     violation = None
     for move in moves:
         operative = switch_at.get(move.turn, operative)
-        try:
-            _check_move(phase, expected, operative, stores, move)
-        except ProtocolViolation as exc:
-            violation = exc
+        violation = _check_move(phase, expected, operative, stores, move)
+        if violation is not None:
             break
         history.append(move)
         expected += 1
@@ -294,7 +296,8 @@ def apply_move(state: DialogueState, move: Move) -> DialogueState:
     state, or raise ProtocolViolation."""
     successor, violation = _fold(state, (move,), {})
     if violation is not None:
-        raise violation
+        raise ProtocolViolation(violation.rule, violation.message,
+                                violation.turn)
     return successor
 
 
@@ -326,12 +329,9 @@ def legal_moves(state: DialogueState, speaker: str,
         subjects = ([DialogueType.DELIBERATION] if kind is MoveKind.DECLARE_SHIFT
                     else sorted(propositions))
         for subject in subjects:
-            try:
-                _check_move(*view, Move(turn, speaker, kind, subject))
-            except ProtocolViolation:
-                continue
-            kinds.append(kind)
-            break
+            if _check_move(*view, Move(turn, speaker, kind, subject)) is None:
+                kinds.append(kind)
+                break
     return kinds
 
 
@@ -427,13 +427,6 @@ def goal_achieved(state: DialogueState) -> GoalVerdict:
 
 
 @dataclass(frozen=True)
-class ViolationInfo:
-    turn: int
-    rule: str
-    message: str
-
-
-@dataclass(frozen=True)
 class ReplayResult:
     state: DialogueState  # final state, or the snapshot before the violation
     violation: Optional[ViolationInfo] = None
@@ -448,16 +441,12 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
     """Replay a move list in one fold, stopping at the first violation.
 
     `segments` are the moves' shift segments (`shifts.segment_moves`):
-    each undeclared drift switches the operative type before the move
-    that opens it is checked, so a transcript that coherently settles
-    into another dialogue type replays cleanly.  At a violation the
-    state is the one before the offending move, with that turn's drift
-    switch applied.
+    each undeclared drift, one at the first move too, switches the
+    operative type before the move that opens it is checked, so a
+    transcript that coherently settles into another dialogue type
+    replays cleanly.  At a violation the state is the one before the
+    offending move, with that turn's drift switch applied.
     """
     switch_at = {s.start_turn: s.operative_type
-                 for s in segments[1:] if not s.declared}
-    state, violation = _fold(initial, moves, switch_at)
-    if violation is None:
-        return ReplayResult(state)
-    return ReplayResult(state, ViolationInfo(
-        violation.turn, violation.rule, str(violation)))
+                 for s in segments if not s.declared}
+    return ReplayResult(*_fold(initial, moves, switch_at))

@@ -10,7 +10,9 @@ answers: the library functions must agree with them on every input the
 tests generate.  The reference tokenizer builds a `Token` with a full
 `SourceSpan` for every token, as the library's did before it returned
 offset tuples.  The survey tables that `typology` now derives from
-Tables 1 and 3 are kept here as they were written out by hand.
+Tables 1 and 3 are kept here as they were written out by hand, and the
+legality matrix that `engine.kind_rule` now writes once is kept as the
+two functions that each branched on the move kind.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from prooftalk.engine import (
     ReplayResult,
     Role,
     ViolationInfo,
-    _kind_rule_id,
-    kind_allowed,
 )
 from prooftalk.markup import (
     KEYWORDS,
@@ -145,6 +145,26 @@ def without(store: CommitmentStore, prop: str) -> CommitmentStore:
         store.owner, frozenset(c for c in store.commitments if c[0] != prop))
 
 
+def kind_allowed(kind: MoveKind, dialogue_type: DialogueType) -> bool:
+    """State-independent part of the legality matrix."""
+    if kind is MoveKind.RETRACT:
+        return dialogue_type is not DialogueType.INQUIRY
+    if kind is MoveKind.OFFER:
+        return dialogue_type in (DialogueType.DELIBERATION,
+                                 DialogueType.NEGOTIATION)
+    if kind is MoveKind.THREAT:
+        return dialogue_type is DialogueType.NEGOTIATION
+    return True
+
+
+def _kind_rule_id(kind: MoveKind, dialogue_type: DialogueType) -> str:
+    if kind is MoveKind.RETRACT:
+        return f"retract-forbidden-in-{dialogue_type.value}"
+    if kind is MoveKind.THREAT:
+        return "threat-move-outside-negotiation"
+    return f"{kind.value}-move-outside-settlement-dialogue"
+
+
 def check_move(state: DialogueState, move: Move) -> None:
     """Raise ProtocolViolation when the move is illegal in the state."""
     if state.phase is Phase.CLOSED:
@@ -245,7 +265,7 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
     into another dialogue type replays cleanly.
     """
     switch_at = {s.start_turn: s.operative_type
-                 for s in segments[1:] if not s.declared}
+                 for s in segments if not s.declared}
     state = initial
     for move in moves:
         if move.turn in switch_at:

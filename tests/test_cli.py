@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from prooftalk import markup
+from prooftalk import cli, markup, model
 from prooftalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -191,6 +191,19 @@ class TestDiagram:
     def test_invalid_graph_is_domain_error(self, invalid_file, capsys):
         assert main(["diagram", str(invalid_file)]) == EXIT_DOMAIN
         assert "error" in capsys.readouterr().err
+
+    def test_validates_the_graph_once(self, fixtures, monkeypatch, capsys):
+        calls = []
+        validate = model.validate_graph
+
+        def counted(graph):
+            calls.append(graph)
+            return validate(graph)
+
+        monkeypatch.setattr(model, "validate_graph", counted)
+        monkeypatch.setattr(cli, "validate_graph", counted)
+        assert main(["diagram", str(fixtures["harry.arg"])]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestClassify:

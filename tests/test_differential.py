@@ -24,6 +24,8 @@ from prooftalk.engine import (
     StanceMismatch,
     _unanswered_challenge,
     apply_move,
+    kind_allowed,
+    kind_rule,
     new_dialogue,
     replay_moves,
 )
@@ -126,6 +128,15 @@ moves = st.builds(
 def test_unanswered_challenge_matches_reference(history):
     state = DialogueState(DialogueType.PERSUASION, "p", (), (), history)
     assert _unanswered_challenge(state) == oracles.unanswered_challenge(state)
+
+
+@pytest.mark.parametrize("kind", MoveKind)
+def test_kind_rule_matches_reference(kind):
+    for t in DialogueType:
+        expected = (None if oracles.kind_allowed(kind, t)
+                    else oracles._kind_rule_id(kind, t))
+        assert kind_rule(kind, t) == expected
+        assert kind_allowed(kind, t) is (expected is None)
 
 
 def applied(apply, state, move):

@@ -4,6 +4,7 @@ import pytest
 
 from prooftalk.analysis import analyze_document
 from prooftalk.engine import (
+    CommitmentStore,
     DialogueState,
     GoalVerdict,
     Move,
@@ -304,6 +305,19 @@ class TestGoalAchieved:
         assert goal_achieved(state) == GoalVerdict(
             False, "positions not yet explicit")
 
+    @pytest.mark.parametrize("dtype", [DialogueType.INFORMATION_SEEKING,
+                                       DialogueType.PEDAGOGICAL])
+    @pytest.mark.parametrize("stances", [(Stance.TRUE, Stance.FALSE),
+                                         (Stance.UNKNOWN, Stance.UNKNOWN)])
+    def test_information_goal_without_asymmetry(self, dtype, stances):
+        # new_dialogue refuses these stances; a caller-built state that
+        # has no informed party or no seeker gets a verdict, not an error
+        state = DialogueState(
+            dtype, "p1", participants(*stances),
+            tuple(CommitmentStore(p.id) for p in participants(*stances)))
+        assert goal_achieved(state) == GoalVerdict(
+            False, "no information asymmetry to resolve")
+
     def test_inquiry_achievement_implies_no_dispute(self):
         from prooftalk.typology import NoDispute, infer_initial_situation
         state = inquiry_state()
@@ -345,6 +359,18 @@ class TestReplay:
         drift = [Segment(1, 1, DialogueType.INQUIRY, False),
                  Segment(2, 2, DialogueType.DELIBERATION, False)]
         result = replay_moves(inquiry_state(), moves, drift)
+        assert result.ok
+        assert result.state.current_type is DialogueType.DELIBERATION
+
+    def test_drift_at_the_first_move_switches_operative_type(self):
+        # the segments open with a deliberation drift at turn 1, which
+        # applies there as at any later turn
+        moves = (Move(1, "alice", MoveKind.OFFER, "p2"),
+                 Move(2, "bob", MoveKind.OFFER, "p2"))
+        segments = segment_moves(moves, DialogueType.INQUIRY)
+        assert segments == [Segment(1, 2, DialogueType.DELIBERATION, False,
+                                    sharp=False)]
+        result = replay_moves(inquiry_state(), moves, segments)
         assert result.ok
         assert result.state.current_type is DialogueType.DELIBERATION
 

@@ -2,8 +2,10 @@
 imports, and the layering the analysis pipeline relies on (the engine
 does not reach up into shift analysis; the CLI goes through the
 pipeline rather than the layers beneath it), and the CLI is the one
-module that writes JSON.  Also: the CLI's fixture list names exactly the
-fixture files the package ships."""
+module that writes JSON.  The move check returns the rule a move breaks,
+so `apply_move` is the one place that raises it as `ProtocolViolation`.
+Also: the CLI's fixture list names exactly the fixture files the package
+ships."""
 
 import ast
 from pathlib import Path
@@ -73,6 +75,25 @@ def test_only_the_cli_imports_json():
                     and node.module == "json"):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def names(node, name):
+    return any(isinstance(n, ast.Name) and n.id == name
+               for n in ast.walk(node))
+
+
+def test_only_apply_move_raises_protocol_violation_and_none_catches_it():
+    naming, catching = set(), set()
+    for path in MODULES:
+        for node in ast.walk(tree_of(path.name)):
+            if (isinstance(node, ast.FunctionDef)
+                    and names(node, "ProtocolViolation")):
+                naming.add(f"{path.stem}.{node.name}")
+            elif (isinstance(node, ast.ExceptHandler) and node.type
+                    and names(node.type, "ProtocolViolation")):
+                catching.add(f"{path.stem}:{node.lineno}")
+    assert naming == {"engine.apply_move"}
+    assert catching == set()
 
 
 def test_fixture_names_list_every_shipped_fixture():
