@@ -11,7 +11,7 @@ from typing import Optional
 
 from .engine import StanceMismatch, goal_achieved, new_dialogue, replay_moves
 from .markup import DialogueDecl, Document
-from .shifts import DEFAULT_SHIFT_WINDOW, Segment, detect_shifts, segment_moves
+from .shifts import detect_shifts, segment_moves
 from .typology import (
     GOAL_OF_TYPE,
     DialogueType,
@@ -67,16 +67,13 @@ def classify_document(doc: Document) -> dict:
     return {name: _classify(decl)[0] for name, decl in doc.dialogues.items()}
 
 
-def _analyze_dialogue(decl: DialogueDecl, window: int
+def _analyze_dialogue(decl: DialogueDecl
                       ) -> tuple[dict, Optional[ProofDialogueType], bool]:
     """The dialogue's entry, its proof-dialogue row, and whether it
     reached its goal without a protocol violation."""
     initial = new_dialogue(
         decl.declared_type, decl.crucial, decl.participants, decl.settlement)
-    segments = segment_moves(decl.moves, decl.declared_type, window)
-    # The declared type holds before the first move: a turn-0 opening
-    # segment of that type makes a boundary at the first move a shift.
-    opening = Segment(0, 0, decl.declared_type, True)
+    segments = segment_moves(decl.moves, decl.declared_type)
     result = replay_moves(initial, decl.moves, segments)
     state = result.state
     verdict = goal_achieved(state)
@@ -102,15 +99,14 @@ def _analyze_dialogue(decl: DialogueDecl, window: int
              "to": s.to_type.value, "kind": s.kind.value,
              "mode": s.mode.value, "licitness": s.licitness.value,
              "reason": s.reason}
-            for s in detect_shifts([opening] + segments)
+            for s in detect_shifts(segments, decl.declared_type)
         ],
         "classification": classification,
     }
     return entry, pd, verdict.achieved and result.ok
 
 
-def analyze_document(doc: Document,
-                     shift_window: int = DEFAULT_SHIFT_WINDOW) -> dict:
+def analyze_document(doc: Document) -> dict:
     """The `analyze` report: an entry per dialogue and per proof, by name.
 
     A dialogue whose stances do not fit its type gets an `error` entry.
@@ -119,8 +115,7 @@ def analyze_document(doc: Document,
     outcome_of: dict[str, tuple[ProofDialogueType, Outcome]] = {}
     for name in sorted(doc.dialogues):
         try:
-            entry, pd, ok = _analyze_dialogue(doc.dialogues[name],
-                                              shift_window)
+            entry, pd, ok = _analyze_dialogue(doc.dialogues[name])
         except StanceMismatch as exc:
             dialogues.append({"dialogue_id": name, "error": str(exc)})
             continue

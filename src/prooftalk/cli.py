@@ -11,31 +11,20 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import markup, typology
-from .analysis import DEFAULT_SHIFT_WINDOW, analyze_document, classify_document
+from .analysis import analyze_document, classify_document
 from .model import Severity, export_dot, validate_graph
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-FIXTURE_NAMES = (
-    "harry.arg",
-    "theaetetus.arg",
-    "four_colour_alcolea.arg",
-    "four_colour_alternative.arg",
-    "wiles_attempt.arg",
-    "kempe_acceptance.arg",
-    "shift_illicit.arg",
-)
-
 
 def fixture_paths() -> list[Path]:
-    base = resources.files("prooftalk") / "fixtures"
-    return [Path(str(base / name)) for name in FIXTURE_NAMES]
+    """The bundled `.arg` files, in name order."""
+    return sorted(Path(__file__).with_name("fixtures").glob("*.arg"))
 
 
 def _load(path: str, out) -> markup.Document | int:
@@ -127,7 +116,7 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    report = analyze_document(doc, args.shift_window)
+    report = analyze_document(doc)
     if args.format == "text":
         lines = []
         for e in report["dialogues"]:
@@ -187,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--out")
-    p.add_argument("--shift-window", type=int, default=DEFAULT_SHIFT_WINDOW,
-                   dest="shift_window")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("report", help="emit the embedded typology tables")
@@ -199,16 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     if args.fixtures:
         for path in fixture_paths():
             print(path)
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "shift_window", 1) < 1:
-        print("error: --shift-window must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)
 

@@ -15,7 +15,7 @@ from enum import Enum
 from .engine import Move, MoveKind, kind_allowed
 from .typology import DialogueType, GOAL_OF_TYPE, MainGoal
 
-DEFAULT_SHIFT_WINDOW = 3
+SHIFT_WINDOW = 3
 
 # Tried in order when an undeclared drift admits several operative types.
 _TYPE_PRIORITY = (
@@ -74,17 +74,15 @@ class Shift:
     reason: str
 
 
-def segment_moves(moves: tuple[Move, ...], initial_type: DialogueType,
-                  window: int = DEFAULT_SHIFT_WINDOW) -> list[Segment]:
+def segment_moves(moves: tuple[Move, ...],
+                  initial_type: DialogueType) -> list[Segment]:
     """Partition a move list into typed segments.
 
     Boundaries arise from declare_shift moves and from undeclared drifts:
     a move whose kind is illegal under the current type opens a new
     segment whose type is the highest-priority one under which the next
-    `window` moves are all kind-legal.
+    `SHIFT_WINDOW` moves are all kind-legal.
     """
-    if window < 1:
-        raise ValueError("shift window must be >= 1")
     if not moves:
         return []
 
@@ -105,7 +103,7 @@ def segment_moves(moves: tuple[Move, ...], initial_type: DialogueType,
             current, declared, sharp = move.subject, True, True
         elif (isinstance(move.subject, str)
               and not kind_allowed(move.kind, current)):
-            span = moves[i:i + window]
+            span = moves[i:i + SHIFT_WINDOW]
             # Never empty: negotiation allows every move kind.
             candidates = [
                 t for t in _TYPE_PRIORITY
@@ -136,20 +134,25 @@ def judge_licitness(from_type: DialogueType, to_type: DialogueType,
     return Licitness.LICIT, "goal grade does not weaken"
 
 
-def detect_shifts(segments: list[Segment]) -> list[Shift]:
-    """One shift per adjacent pair of differing-type segments."""
+def detect_shifts(segments: list[Segment],
+                  initial_type: DialogueType) -> list[Shift]:
+    """One shift at each segment whose type differs from the one before
+    it, starting from `initial_type`, the declared type that holds before
+    the first move.  A shift embeds when the type it leaves resumes in a
+    later segment, and replaces it otherwise."""
+    last = {s.operative_type: i for i, s in enumerate(segments)}
     shifts: list[Shift] = []
-    for i in range(1, len(segments)):
-        prev, seg = segments[i - 1], segments[i]
-        if seg.operative_type == prev.operative_type:
+    prev = initial_type
+    for i, seg in enumerate(segments):
+        if seg.operative_type == prev:
             continue
         kind = (ShiftKind.ABRUPT if seg.declared or seg.sharp
                 else ShiftKind.GRADUAL)
-        resumed = any(s.operative_type == prev.operative_type
-                      for s in segments[i + 1:])
-        mode = ShiftMode.EMBEDDING if resumed else ShiftMode.REPLACEMENT
+        mode = (ShiftMode.EMBEDDING if last.get(prev, -1) > i
+                else ShiftMode.REPLACEMENT)
         licitness, reason = judge_licitness(
-            prev.operative_type, seg.operative_type, seg.declared)
-        shifts.append(Shift(seg.start_turn, prev.operative_type,
-                            seg.operative_type, kind, mode, licitness, reason))
+            prev, seg.operative_type, seg.declared)
+        shifts.append(Shift(seg.start_turn, prev, seg.operative_type,
+                            kind, mode, licitness, reason))
+        prev = seg.operative_type
     return shifts

@@ -12,7 +12,9 @@ tests generate.  The reference tokenizer builds a `Token` with a full
 offset tuples.  The survey tables that `typology` now derives from
 Tables 1 and 3 are kept here as they were written out by hand, and the
 legality matrix that `engine.kind_rule` now writes once is kept as the
-two functions that each branched on the move kind.
+two functions that each branched on the move kind.  The shift detector
+that rescanned the later segments at each shift, and took the declared
+type as a turn-0 segment spliced in front, is kept as it was.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ from prooftalk.model import (
     _LINK_ORDER,
     _claim_in_slot,
     _has_cycle,
+)
+from prooftalk.shifts import (
+    Segment,
+    Shift,
+    ShiftKind,
+    ShiftMode,
+    judge_licitness,
 )
 from prooftalk.typology import (
     AsymmetryDirection,
@@ -277,6 +286,30 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
                 move.turn, exc.rule, str(exc)))
     return ReplayResult(state)
 
+
+
+def detect_shifts(segments: list[Segment]) -> list[Shift]:
+    """One shift per adjacent pair of differing-type segments.
+
+    Callers put a turn-0 opening segment of the declared type,
+    `Segment(0, 0, declared_type, True)`, in front of the segments, so
+    that a boundary at the first move is a shift.
+    """
+    shifts: list[Shift] = []
+    for i in range(1, len(segments)):
+        prev, seg = segments[i - 1], segments[i]
+        if seg.operative_type == prev.operative_type:
+            continue
+        kind = (ShiftKind.ABRUPT if seg.declared or seg.sharp
+                else ShiftKind.GRADUAL)
+        resumed = any(s.operative_type == prev.operative_type
+                      for s in segments[i + 1:])
+        mode = ShiftMode.EMBEDDING if resumed else ShiftMode.REPLACEMENT
+        licitness, reason = judge_licitness(
+            prev.operative_type, seg.operative_type, seg.declared)
+        shifts.append(Shift(seg.start_turn, prev.operative_type,
+                            seg.operative_type, kind, mode, licitness, reason))
+    return shifts
 
 @dataclass(frozen=True)
 class Token:

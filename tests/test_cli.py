@@ -9,7 +9,6 @@ from prooftalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
-    FIXTURE_NAMES,
     fixture_paths,
     main,
 )
@@ -45,8 +44,8 @@ class TestTopLevel:
     def test_fixtures_flag_lists_corpus(self, capsys):
         assert main(["--fixtures"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(FIXTURE_NAMES)
-        assert all(line.endswith(".arg") for line in lines)
+        assert lines == [str(p) for p in fixture_paths()]
+        assert len(lines) == 7
 
     def test_fixture_files_exist(self):
         for path in fixture_paths():
@@ -57,6 +56,15 @@ class TestTopLevel:
                      "--shift-window", "0"])
         assert code == EXIT_USAGE
         assert "shift-window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["validate"], ["nosuch"]])
+    def test_argument_error_returns_usage_code(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage" in capsys.readouterr().out
 
 
 class TestValidate:

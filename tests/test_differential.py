@@ -1,8 +1,8 @@
 """The linear-time cycle, link and challenge checks, the dialogue
-replay fold, the regex tokenizer, the parser and the derived survey
-tables agree with the reference versions in `oracles`, and the CLI
-output on the shipped corpus matches the recorded golden output byte
-for byte."""
+replay fold, the one-pass shift detector, the regex tokenizer, the
+parser and the derived survey tables agree with the reference versions
+in `oracles`, and the CLI output on the shipped corpus matches the
+recorded golden output byte for byte."""
 
 import json
 from pathlib import Path
@@ -41,7 +41,7 @@ from prooftalk.model import (
     _has_cycle,
     add_link,
 )
-from prooftalk.shifts import Segment, segment_moves
+from prooftalk.shifts import Segment, detect_shifts, segment_moves
 from prooftalk import typology
 from prooftalk.typology import DialogueType, Stance
 
@@ -256,6 +256,42 @@ def test_replay_moves_matches_reference(case):
 def test_apply_move_matches_reference(case):
     assert_apply_move_matches_reference(*case)
 
+
+
+# Few types, so that a type often repeats, also in adjacent segments,
+# and all three goal grades come up.
+shift_types = st.sampled_from([
+    DialogueType.INQUIRY, DialogueType.PERSUASION,
+    DialogueType.DELIBERATION, DialogueType.ERISTIC])
+
+
+@st.composite
+def shift_segments(draw):
+    """A declared type and segments of one or two turns each, declared
+    or not, with a sharp or a blurred boundary."""
+    specs = draw(st.lists(
+        st.tuples(shift_types, st.booleans(), st.booleans()), max_size=8))
+    segments, turn = [], 1
+    for t, declared, sharp in specs:
+        end = turn + draw(st.integers(0, 1))
+        segments.append(Segment(turn, end, t, declared, sharp))
+        turn = end + 1
+    return segments, draw(shift_types)
+
+
+@settings(max_examples=300)
+@example(([], DialogueType.INQUIRY))
+@example(([Segment(1, 1, DialogueType.INQUIRY, False),
+           Segment(2, 2, DialogueType.INQUIRY, True, False),
+           Segment(3, 3, DialogueType.DELIBERATION, False, False),
+           Segment(4, 4, DialogueType.INQUIRY, False)],
+          DialogueType.DELIBERATION))
+@given(shift_segments())
+def test_detect_shifts_matches_reference(case):
+    segments, declared_type = case
+    opening = Segment(0, 0, declared_type, True)
+    assert detect_shifts(segments, declared_type) == \
+        oracles.detect_shifts([opening] + segments)
 
 def fixture_dialogues():
     for path in fixture_paths():

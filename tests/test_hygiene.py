@@ -4,17 +4,20 @@ does not reach up into shift analysis; the CLI goes through the
 pipeline rather than the layers beneath it), and the CLI is the one
 module that writes JSON.  The move check returns the rule a move breaks,
 so `apply_move` is the one place that raises it as `ProtocolViolation`.
-Also: the CLI's fixture list names exactly the fixture files the package
-ships."""
+Also: README's command synopses name exactly the options the CLI parser
+takes."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from prooftalk.cli import FIXTURE_NAMES
+from prooftalk.cli import build_parser
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prooftalk"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "prooftalk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -96,6 +99,26 @@ def test_only_apply_move_raises_protocol_violation_and_none_catches_it():
     assert catching == set()
 
 
-def test_fixture_names_list_every_shipped_fixture():
-    shipped = [p.name for p in (PACKAGE / "fixtures").glob("*.arg")]
-    assert sorted(FIXTURE_NAMES) == sorted(shipped)
+def readme_synopses():
+    """Subcommand -> the options its line in README's Commands block names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Commands:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    synopses = {}
+    for line in block.splitlines():
+        synopsis = line.split("#")[0]
+        synopses[synopsis.split()[1]] = set(
+            re.findall(r"--[a-z][a-z-]*", synopsis))
+    return synopses
+
+
+def parser_options():
+    """Subcommand -> the options its parser takes, --help aside."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_commands_name_every_parser_option():
+    assert readme_synopses() == parser_options()

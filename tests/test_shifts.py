@@ -88,13 +88,13 @@ class TestSegmentation:
 class TestDetectShifts:
     def test_single_segment_no_shifts(self):
         segs = [Segment(1, 5, DialogueType.INQUIRY, False)]
-        assert detect_shifts(segs) == []
+        assert detect_shifts(segs, segs[0].operative_type) == []
 
     def test_embedding_with_return_shift(self):
         segs = [Segment(1, 4, DialogueType.INQUIRY, True),
                 Segment(5, 8, DialogueType.DELIBERATION, True),
                 Segment(9, 12, DialogueType.INQUIRY, True)]
-        shifts = detect_shifts(segs)
+        shifts = detect_shifts(segs, segs[0].operative_type)
         assert len(shifts) == 2
         assert shifts[0].mode is ShiftMode.EMBEDDING
         assert shifts[0].from_type is DialogueType.INQUIRY
@@ -104,7 +104,7 @@ class TestDetectShifts:
     def test_replacement_without_resumption(self):
         segs = [Segment(1, 6, DialogueType.INQUIRY, False),
                 Segment(7, 10, DialogueType.NEGOTIATION, False, sharp=False)]
-        shifts = detect_shifts(segs)
+        shifts = detect_shifts(segs, segs[0].operative_type)
         assert len(shifts) == 1
         assert shifts[0].mode is ShiftMode.REPLACEMENT
         assert shifts[0].kind is ShiftKind.GRADUAL
@@ -112,7 +112,8 @@ class TestDetectShifts:
     def test_declared_boundary_is_abrupt(self):
         segs = [Segment(1, 2, DialogueType.INQUIRY, False),
                 Segment(3, 4, DialogueType.ERISTIC, True)]
-        assert detect_shifts(segs)[0].kind is ShiftKind.ABRUPT
+        shifts = detect_shifts(segs, segs[0].operative_type)
+        assert shifts[0].kind is ShiftKind.ABRUPT
 
     def test_count_equals_adjacent_differing_pairs(self):
         types = [DialogueType.INQUIRY, DialogueType.DELIBERATION,
@@ -121,13 +122,13 @@ class TestDetectShifts:
             segs = [Segment(i * 2 + 1, i * 2 + 2, t, True)
                     for i, t in enumerate(combo)]
             expected = sum(1 for x, y in zip(combo, combo[1:]) if x != y)
-            assert len(detect_shifts(segs)) == expected
+            assert len(detect_shifts(segs, segs[0].operative_type)) == expected
 
     def test_no_hidden_cross_boundary_state(self):
         segs = [Segment(1, 2, DialogueType.INQUIRY, False),
                 Segment(3, 4, DialogueType.DELIBERATION, False, sharp=False),
                 Segment(5, 6, DialogueType.NEGOTIATION, True)]
-        combined = detect_shifts(segs)
+        combined = detect_shifts(segs, segs[0].operative_type)
         for i, shift in enumerate(combined):
             licitness, _ = judge_licitness(
                 shift.from_type, shift.to_type, segs[i + 1].declared)
