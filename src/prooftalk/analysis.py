@@ -125,6 +125,8 @@ def analyze_document(doc: Document) -> dict:
 
     proofs = []
     for name in sorted(doc.proofs):
+        # One outcome per proof-dialogue row: when several of the listed
+        # dialogues fall in one row, the last one listed decides it.
         outcomes = dict(outcome_of[d] for d in doc.proofs[name].dialogues
                         if d in outcome_of)
         verdict = assess_proof_status(outcomes)

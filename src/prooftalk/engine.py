@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .typology import (
     DialogueType,
@@ -34,8 +34,7 @@ class Role(str, Enum):
     INTERLOCUTOR = "interlocutor"
 
 
-@dataclass(frozen=True)
-class Participant:
+class Participant(NamedTuple):
     id: str
     role: Role
     initial_stance: Stance
@@ -53,8 +52,7 @@ class MoveKind(str, Enum):
     CLOSE = "close"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     turn: int
     speaker: str
     kind: MoveKind
@@ -66,8 +64,7 @@ class Polarity(str, Enum):
     DENIED = "denied"
 
 
-@dataclass(frozen=True)
-class CommitmentStore:
+class CommitmentStore(NamedTuple):
     owner: str
     commitments: frozenset[tuple[str, Polarity]] = frozenset()
 
@@ -116,8 +113,7 @@ class ProtocolViolation(Exception):
         self.turn = turn
 
 
-@dataclass(frozen=True)
-class ViolationInfo:
+class ViolationInfo(NamedTuple):
     turn: int
     rule: str
     message: str
@@ -335,8 +331,7 @@ def legal_moves(state: DialogueState, speaker: str,
     return kinds
 
 
-@dataclass(frozen=True)
-class GoalVerdict:
+class GoalVerdict(NamedTuple):
     achieved: bool
     reason: str
 
@@ -426,8 +421,7 @@ def goal_achieved(state: DialogueState) -> GoalVerdict:
     return GoalVerdict(False, "positions not yet explicit")
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     state: DialogueState  # final state, or the snapshot before the violation
     violation: Optional[ViolationInfo] = None
 

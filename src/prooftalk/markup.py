@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -23,22 +23,19 @@ from .model import (
     Qualifier,
     QualifierKind,
     ToulminArgument,
-    _LINK_ORDER,
     _has_cycle,
 )
 from .typology import DialogueType, Stance
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
     offset: int
     length: int
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     span: SourceSpan
     expected: str
     found: str
@@ -164,8 +161,7 @@ def _lex_error(source: str, start: int, end: int) -> MarkupError:
         "unterminated string")])
 
 
-@dataclass(frozen=True)
-class DialogueDecl:
+class DialogueDecl(NamedTuple):
     name: str
     declared_type: DialogueType
     participants: tuple[Participant, ...]
@@ -174,8 +170,7 @@ class DialogueDecl:
     moves: tuple[Move, ...]
 
 
-@dataclass(frozen=True)
-class ProofDecl:
+class ProofDecl(NamedTuple):
     name: str
     dialogues: tuple[str, ...]
 
@@ -278,14 +273,17 @@ class _Parser:
                 if depth <= 0:
                     return
 
-    def open_block(self, what: str) -> Optional[tuple[_Lexeme, _Lexeme]]:
+    def open_block(self, what: str,
+                   declared: dict) -> Optional[tuple[_Lexeme, _Lexeme]]:
         """`keyword "name" {`: the keyword and name tokens, or None after
-        skipping a malformed block."""
+        skipping a malformed block.  A name already `declared` is reported."""
         kw = self.next()
         name = self.expect("string", f"{what} name")
         if name is None or not self.expect("lbrace"):
             self.skip_block()
             return None
+        if name[1] in declared:
+            self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
     def entries(self, expected: str,
@@ -346,13 +344,11 @@ class _Parser:
     # --- argument blocks ---------------------------------------------
 
     def parse_argument(self) -> None:
-        block = self.open_block("argument")
+        block = self.open_block("argument", self.doc.graph.arguments)
         if block is None:
             return
         kw, name_tok = block
         name = name_tok[1]
-        if name in self.doc.graph.arguments:
-            self.error("fresh argument name", name_tok, "duplicate argument")
         repeated: dict[str, list[str]] = {"data": [], "rebuttal": []}
         single: dict[str, Optional[str]] = dict.fromkeys(
             ("warrant", "backing", "claim"))
@@ -394,13 +390,11 @@ class _Parser:
     # --- dialogue blocks ---------------------------------------------
 
     def parse_dialogue(self) -> None:
-        block = self.open_block("dialogue")
+        block = self.open_block("dialogue", self.doc.dialogues)
         if block is None:
             return
         _, name_tok = block
         name = name_tok[1]
-        if name in self.doc.dialogues:
-            self.error("fresh dialogue name", name_tok, "duplicate dialogue")
 
         declared_type: Optional[DialogueType] = None
         order: list[str] = []
@@ -487,7 +481,7 @@ class _Parser:
     # --- proof blocks ------------------------------------------------
 
     def parse_proof(self) -> None:
-        block = self.open_block("proof")
+        block = self.open_block("proof", self.doc.proofs)
         if block is None:
             return
         kw, name_tok = block
@@ -529,7 +523,7 @@ class _Parser:
                            "source claim does not match the slot")
                 continue
             links.add(Link(src, target, role))
-        graph.links = tuple(sorted(links, key=_LINK_ORDER))
+        graph.links = tuple(sorted(links))
         if _has_cycle(graph.links):
             # A cycle needs links, so there is a `uses` line to anchor it.
             self.errors.append(ParseError(
@@ -587,7 +581,7 @@ def serialize(doc: Document) -> str:
         return _quote(graph.propositions[pid].text)
 
     uses: dict[str, list[Link]] = {}
-    for link in sorted(graph.links, key=_LINK_ORDER):
+    for link in sorted(graph.links):
         uses.setdefault(link.target, []).append(link)
 
     for aid in sorted(graph.arguments):

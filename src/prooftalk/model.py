@@ -12,11 +12,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(NamedTuple):
     id: str
     text: str
 
@@ -82,8 +81,7 @@ def compare_qualifiers(a: Qualifier, b: Qualifier) -> Comparison:
     return Comparison.STRONGER if ra > rb else Comparison.WEAKER
 
 
-@dataclass(frozen=True)
-class ToulminArgument:
+class ToulminArgument(NamedTuple):
     id: str
     data: tuple[str, ...]
     warrant: Optional[str]
@@ -98,16 +96,12 @@ class LinkRole(str, Enum):
     BACKING = "backing"
 
 
-@dataclass(frozen=True, order=True)
-class Link:
+class Link(NamedTuple):
     source: str
     target: str
     role: LinkRole
 
 
-# Sort keys giving the same order as Link's own comparisons, but compared
-# in C rather than through the generated __lt__.
-_LINK_ORDER = attrgetter("source", "target", "role")
 _LINK_SOURCE = attrgetter("source")
 
 
@@ -123,8 +117,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule: str
     slot: str
     severity: Severity
@@ -272,7 +265,7 @@ def add_link(graph: ArgumentGraph, source: str, target: str,
     if not _claim_in_slot(graph, link):
         raise SlotMismatch(
             f"claim of '{source}' does not occupy the {role.value} slot of '{target}'")
-    new_links = tuple(sorted(graph.links + (link,), key=_LINK_ORDER))
+    new_links = tuple(sorted(graph.links + (link,)))
     if _reaches(new_links, target, source):
         raise CycleError(f"link {source}->{target} would close a support cycle")
     return replace(graph, links=new_links)

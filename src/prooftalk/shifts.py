@@ -9,8 +9,8 @@ without saying so is illicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import Move, MoveKind, kind_allowed
 from .typology import DialogueType, GOAL_OF_TYPE, MainGoal
@@ -37,8 +37,7 @@ _GOAL_GRADE = {
 }
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start_turn: int
     end_turn: int
     operative_type: DialogueType
@@ -63,8 +62,7 @@ class Licitness(str, Enum):
     ILLICIT = "illicit"
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     at_turn: int
     from_type: DialogueType
     to_type: DialogueType

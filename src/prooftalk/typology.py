@@ -10,9 +10,9 @@ assessment combines per-type outcomes into a single verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class Stance(str, Enum):
@@ -48,8 +48,7 @@ class InitialSituation:
             raise ValueError("irreconcilable applies only to conflicts")
 
 
-@dataclass(frozen=True)
-class NoDispute:
+class NoDispute(NamedTuple):
     """Both parties already agree; no dialogue arises."""
 
 
@@ -133,8 +132,7 @@ def classify_dialogue(s: InitialSituation, g: MainGoal) -> DialogueType:
         ) from None
 
 
-@dataclass(frozen=True)
-class DialogueProfile:
+class DialogueProfile(NamedTuple):
     initial_situation_text: str
     individual_goals_text: str
     collective_goal_text: str
@@ -188,8 +186,7 @@ class ProofDialogueType(str, Enum):
     SUSPECT_ERISTIC = "suspect_eristic"
 
 
-@dataclass(frozen=True)
-class ProofDialogueRow:
+class ProofDialogueRow(NamedTuple):
     suspect: bool
     initial_situation_text: str
     main_goal_text: str
@@ -273,8 +270,7 @@ class ProofStatusKind(str, Enum):
     NON_RIGOROUS_SETTLEMENT = "non_rigorous_settlement"
 
 
-@dataclass(frozen=True)
-class ProofStatus:
+class ProofStatus(NamedTuple):
     variant: ProofStatusKind
     diagnostics: tuple[str, ...] = ()
 
@@ -327,7 +323,7 @@ def survey_tables() -> dict:
     """The embedded survey tables as one document: the `report` output.
     A record's keys are its field names without the `_text` suffix."""
     def record(r) -> dict:
-        return {k.removesuffix("_text"): v for k, v in asdict(r).items()}
+        return {k.removesuffix("_text"): v for k, v in r._asdict().items()}
 
     return {
         "dialogue_types": {f"{s.value}/{g.value}": t.value

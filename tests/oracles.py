@@ -55,7 +55,6 @@ from prooftalk.model import (
     QualifierKind,
     SlotMismatch,
     ToulminArgument,
-    _LINK_ORDER,
     _claim_in_slot,
     _has_cycle,
 )
@@ -748,6 +747,8 @@ class _Parser:
         if name is None or not self.expect("lbrace"):
             self.skip_block()
             return
+        if name.value in self.doc.proofs:
+            self.error("fresh proof name", name, "duplicate proof")
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
             names = [ident.value for ident in self.ident_list("dialogue name")]
@@ -786,7 +787,7 @@ class _Parser:
                     "source claim does not match the slot"))
                 continue
             links.add(Link(src, target, role))
-        self.doc.graph.links = tuple(sorted(links, key=_LINK_ORDER))
+        self.doc.graph.links = tuple(sorted(links))
         if _has_cycle(self.doc.graph.links):
             anchor = self.uses[-1][3] if self.uses else SourceSpan(1, 1, 0, 1)
             self.errors.append(ParseError(

@@ -112,3 +112,46 @@ dialogue "d" {{
         "information_seeking", "pedagogical", "undefined_cell"])
 def test_classification_entry(dialogue_type, prover, interlocutor, entry):
     assert classified(dialogue_type, prover, interlocutor) == entry
+
+
+# A persuasion that succeeds: the referee's challenge is answered and the
+# referee concedes.  It falls in the same row as `wiles_persuasion`.
+PERSUADED = '''dialogue "ok" {
+  type: persuasion
+  participants: wiles, referee
+  stance wiles fermat: true
+  stance referee fermat: false
+  move 1 wiles assert euler_system
+  move 2 referee challenge euler_system
+  move 3 wiles assert fermat
+  move 4 referee concede fermat
+  move 5 referee close fermat
+}
+
+'''
+
+
+def wiles_status(corpus, dialogues):
+    """The status of the Wiles proof, with `ok` declared and the proof
+    listing these dialogues."""
+    source = corpus["wiles_attempt"][0].replace(
+        'proof "fermat"', PERSUADED + 'proof "fermat"').replace(
+        "dialogues: wiles_inquiry, wiles_persuasion",
+        f"dialogues: {', '.join(dialogues)}")
+    (proof,) = analysis.analyze_document(parse_document(source))["proofs"]
+    return proof["status"]
+
+
+@pytest.mark.parametrize("dialogues, status", [
+    (["wiles_inquiry", "ok", "wiles_persuasion"], "not_proof"),
+    (["wiles_inquiry", "wiles_persuasion", "ok"], "proof"),
+], ids=["failure_last", "success_last"])
+def test_last_listed_dialogue_decides_its_row(corpus, dialogues, status):
+    assert wiles_status(corpus, dialogues) == status
+
+
+@pytest.mark.parametrize("dialogues", [
+    ["wiles_inquiry", "ok"], ["wiles_inquiry", "wiles_persuasion"]])
+def test_order_across_rows_leaves_the_status(corpus, dialogues):
+    assert (wiles_status(corpus, dialogues)
+            == wiles_status(corpus, dialogues[::-1]))

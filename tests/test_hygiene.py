@@ -5,7 +5,8 @@ pipeline rather than the layers beneath it), and the CLI is the one
 module that writes JSON.  The move check returns the rule a move breaks,
 so `apply_move` is the one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
-takes."""
+takes, and plain records are named tuples, with a dataclass kept only
+where a record checks or derives a field or the parser mutates it."""
 
 import argparse
 import ast
@@ -122,3 +123,25 @@ def parser_options():
 
 def test_readme_commands_name_every_parser_option():
     assert readme_synopses() == parser_options()
+
+
+def decorated_dataclasses():
+    """Every class in the package under `@dataclass` or
+    `@dataclasses.dataclass`, called or not."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(tree_of(path.name)):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(n, "id", getattr(n, "attr", None)) == "dataclass"
+                    for d in node.decorator_list for n in ast.walk(d)):
+                found.add(node.name)
+    return found
+
+
+def test_dataclasses_are_only_the_checked_or_mutated_records():
+    # Qualifier and InitialSituation check their fields, DialogueState
+    # derives current_type, and the parser fills ArgumentGraph and
+    # Document in place.
+    assert decorated_dataclasses() == {
+        "Qualifier", "InitialSituation", "DialogueState",
+        "ArgumentGraph", "Document"}

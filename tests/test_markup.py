@@ -278,6 +278,23 @@ class TestParseDocument:
         assert (err.span.line, err.span.column) == (4, 20)
         assert err.hint == "duplicate participant"
 
+    @pytest.mark.parametrize("what, block", [
+        ("argument", '{ data x: "X" warrant w: "W" claim c: "C" }'),
+        ("dialogue", '{ type: inquiry participants: a, b'
+                     ' stance a p: unknown stance b p: unknown }'),
+        ("proof", '{ dialogues: d }')])
+    def test_duplicate_block_name(self, what, block):
+        src = ('prop p: "P"\n'
+               'dialogue "d" { type: inquiry participants: a, b'
+               ' stance a p: unknown stance b p: unknown }\n'
+               f'{what} "n" {block}\n{what} "n" {block}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (4, len(what) + 2)
+        assert (err.expected, err.found, err.hint) == (
+            f"fresh {what} name", "n", f"duplicate {what}")
+
     def test_turn_with_non_ascii_digit(self):
         src = ('prop p: "x"\n'
                'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
