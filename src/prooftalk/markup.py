@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -43,10 +43,8 @@ class ParseError(NamedTuple):
 
     @property
     def message(self) -> str:
-        msg = f"expected {self.expected}, found {self.found}"
-        if self.hint:
-            msg += f" ({self.hint})"
-        return msg
+        return (f"expected {self.expected}, found {self.found}"
+                + (f" ({self.hint})" if self.hint else ""))
 
 
 class MarkupError(Exception):
@@ -61,8 +59,8 @@ class MarkupError(Exception):
 # The words that open a top-level block, and the entry words of argument
 # and dialogue blocks.
 _BLOCK_WORDS = ("prop", "argument", "dialogue", "proof")
-_ARGUMENT_SLOTS = frozenset({
-    "data", "warrant", "backing", "qualifier", "rebuttal", "claim", "uses"})
+_NAMED_SLOTS = frozenset({"data", "warrant", "backing", "rebuttal", "claim"})
+_ARGUMENT_SLOTS = _NAMED_SLOTS | {"qualifier", "uses"}
 _DIALOGUE_ENTRIES = frozenset({
     "type", "participants", "stance", "settlement", "move"})
 
@@ -86,8 +84,8 @@ _Lexeme = tuple[str, str, int, int]
 # group named after its kind.  A string that does not close, or holds an
 # escape other than \" and \\, matches `badstring` up to the fault.  With
 # no token group matched, the match ends at the end of input or at an
-# illegal character.  The pattern matches at every position, so
-# `finditer` never skips text.
+# illegal character.  The pattern matches at every position, so `_lex`
+# never skips text.
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | \#[^\n]*)*
     (?: (?P<arrow><-) | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<colon>:)
@@ -97,6 +95,14 @@ _TOKEN = re.compile(r"""
       | (?P<int>[0-9]+) | (?P<word>\w+) )?
 """, re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
+
+# One-line statements read whole, each with one match: `move TURN SPEAKER
+# KIND SUBJECT` and `WORD ID: "TEXT"`.  They take only text that lexes the
+# same (ASCII identifier starts and digits, blanks between fields, strings
+# without escapes); keywords are checked on the matched words.
+_MOVE_LINE = re.compile(
+    r"[ \t\r\n]*move +([0-9]+) +([A-Za-z_]\w*) +([a-z_]+) +([A-Za-z_]\w*)")
+_NAMED_LINE = re.compile(r'[ \t\r\n]*([a-z]+) +([A-Za-z_]\w*) *: *"([^"\\]*)"')
 
 
 def _line_starts(source: str) -> list[int]:
@@ -113,32 +119,35 @@ def _span(line_starts: list[int], offset: int, length: int) -> SourceSpan:
     return SourceSpan(line, offset - line_starts[line - 1] + 1, offset, length)
 
 
-def tokenize(source: str) -> list[_Lexeme]:
-    """Lex the source into (kind, value, offset, length) tuples; raises
-    MarkupError with an exact span on an unterminated string, illegal
-    escape or illegal character."""
-    tokens: list[_Lexeme] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind is None:
-            if m.end() == len(source):
-                break
-            raise _lex_error(source, m.end(), m.end())
-        start, end = m.span(kind)
-        value = source[start:end]
-        if kind == "word":
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise _lex_error(source, start, end)
-            kind = "keyword" if value in KEYWORDS else "ident"
-        elif kind == "string":
-            value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-        elif kind == "badstring":
+def _lex(source: str, pos: int) -> _Lexeme:
+    """The token after offset `pos`, past whitespace and comments, or the
+    end-of-input token; raises MarkupError with an exact span on an
+    unterminated string, illegal escape or illegal character."""
+    m = _TOKEN.match(source, pos)
+    kind = m.lastgroup
+    if kind is None:
+        if m.end() == len(source):
+            return ("eof", "<end of input>", len(source), 0)
+        raise _lex_error(source, m.end(), m.end())
+    start, end = m.span(kind)
+    value = source[start:end]
+    if kind == "word":
+        if not (value[0].isalpha() or value[0] == "_"):
             raise _lex_error(source, start, end)
-        append((kind, value, start, end - start))
-    return tokens
+        kind = "keyword" if value in KEYWORDS else "ident"
+    elif kind == "string":
+        value = _ESCAPE.sub(r"\1", value[1:-1])
+    elif kind == "badstring":
+        raise _lex_error(source, start, end)
+    return (kind, value, start, end - start)
+
+
+def tokenize(source: str) -> list[_Lexeme]:
+    """Lex the whole source into (kind, value, offset, length) tuples."""
+    tokens = [_lex(source, 0)]
+    while tokens[-1][0] != "eof":
+        tokens.append(_lex(source, tokens[-1][2] + tokens[-1][3]))
+    return tokens[:-1]
 
 
 def _lex_error(source: str, start: int, end: int) -> MarkupError:
@@ -186,22 +195,24 @@ class Document:
 
 
 class _Parser:
-    """Reads tokens as (kind, value, offset, length) tuples: `tok[0]` is
-    the kind and `tok[1]` the value."""
+    """Lexes on demand: `end` is the offset past the last token or
+    statement read, and `tok` the lookahead token, lexed when `peek` needs
+    it.  A token's `tok[0]` is its kind and `tok[1]` its value."""
 
-    def __init__(self, tokens: list[_Lexeme], source: str):
-        tokens.append(("eof", "<end of input>", len(source), 0))
-        self.tokens = tokens
+    def __init__(self, source: str):
         self.source = source
+        self.end = 0
+        self.tok: Optional[_Lexeme] = None
         # Built by the first span reported, if any.
         self.line_starts: Optional[list[int]] = None
-        self.pos = 0
         self.errors: list[ParseError] = []
         self.doc = Document()
         # (slot id token, source_arg_name, target_arg_name)
         self.uses: list[tuple[_Lexeme, str, str]] = []
         # proposition id tokens to resolve after the full parse
         self.pending_refs: list[_Lexeme] = []
+        # (proof keyword token, proof name, dialogue name) to resolve
+        self.pending_proofs: list[tuple[_Lexeme, str, str]] = []
 
     def span(self, tok: _Lexeme) -> SourceSpan:
         if self.line_starts is None:
@@ -209,12 +220,13 @@ class _Parser:
         return _span(self.line_starts, tok[2], tok[3])
 
     def peek(self) -> _Lexeme:
-        return self.tokens[self.pos]
+        if self.tok is None:
+            self.tok = _lex(self.source, self.end)
+        return self.tok
 
     def next(self) -> _Lexeme:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
+        tok = self.peek()
+        self.tok, self.end = None, tok[2] + tok[3]
         return tok
 
     def error(self, expected: str, tok: Optional[_Lexeme] = None,
@@ -286,11 +298,14 @@ class _Parser:
             self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
-    def entries(self, expected: str,
-                words: frozenset[str]) -> Iterator[tuple[str, _Lexeme]]:
+    def entries(self, expected: str, words: frozenset[str],
+                line: Callable[[], bool]) -> Iterator[tuple[str, _Lexeme]]:
         """Each entry keyword of a block body, as its word and its token,
-        through the closing `}`; any other token is reported and skipped."""
+        through the closing `}`; any other token is reported and skipped.
+        Before an entry is lexed, `line()` may read it whole and say so."""
         while True:
+            if self.tok is None and line():
+                continue
             tok = self.next()
             kind, value = tok[0], tok[1]
             if kind == "rbrace":
@@ -303,22 +318,50 @@ class _Parser:
             else:
                 self.error(expected, tok)
 
+    def put(self, held: dict, key: str, kw: _Lexeme, value) -> None:
+        """Put the value of the entry at keyword `kw` under `key`: a list
+        gains it; a single value given twice is reported at `kw`."""
+        have = held.get(key)
+        if have is None:
+            held[key] = value
+        elif isinstance(have, list):
+            have.append(value)
+        else:
+            self.error(f"one '{kw[1]}' entry" + (
+                "" if key == kw[1] else f" for '{key}'"), kw, "repeated entry")
+
+    def declare(self, ident: _Lexeme, text: str) -> str:
+        """Declare the proposition `ident: "text"`; its id."""
+        pid = ident[1]
+        existing = self.doc.graph.propositions.get(pid)
+        if existing is None:
+            self.doc.graph.propositions[pid] = Proposition(pid, text)
+        elif existing.text != text:
+            self.error("fresh proposition id", ident,
+                       "duplicate id with conflicting text")
+        return pid
+
     def named_prop(self) -> Optional[str]:
         """`id: "text"`, declaring the proposition: its id, or None."""
         ident = self.expect("ident", "proposition id")
         if ident is None or not self.expect("colon"):
             return None
         text = self.expect("string", "proposition text")
-        if text is None:
-            return None
-        pid = ident[1]
-        existing = self.doc.graph.propositions.get(pid)
-        if existing is None:
-            self.doc.graph.propositions[pid] = Proposition(pid, text[1])
-        elif existing.text != text[1]:
-            self.error("fresh proposition id", ident,
-                       "duplicate id with conflicting text")
-        return pid
+        return None if text is None else self.declare(ident, text[1])
+
+    def named_line(self, words, held: Optional[dict] = None) -> bool:
+        """Read a whole `WORD id: "text"` line at the cursor, WORD one of
+        `words`: declare the proposition and put its id in `held` under
+        WORD.  False, having read nothing, on any other line."""
+        m = _NAMED_LINE.match(self.source, self.end)
+        if m is None or m[1] not in words or m[2] in KEYWORDS:
+            return False
+        self.end = m.end()
+        word, pid = m[1], m[2]
+        self.declare(("ident", pid, m.start(2), len(pid)), m[3])
+        if held is not None:
+            self.put(held, word, ("keyword", word, m.start(1), len(word)), pid)
+        return True
 
     # --- top level ---------------------------------------------------
 
@@ -326,9 +369,14 @@ class _Parser:
         if self.at_kw("version"):
             self.next()
             self.expect("int", "version number")
-        while self.peek()[0] != "eof":
-            if self.at_kw(*_BLOCK_WORDS):
-                getattr(self, "parse_" + self.peek()[1])()
+        while True:
+            if self.tok is None and self.named_line(("prop",)):
+                continue
+            kind, value, _, _ = self.peek()
+            if kind == "eof":
+                break
+            if kind == "keyword" and value in _BLOCK_WORDS:
+                getattr(self, "parse_" + value)()
             else:
                 self.error("'prop', 'argument', 'dialogue' or 'proof'")
                 self.skip_block()
@@ -347,16 +395,15 @@ class _Parser:
         block = self.open_block("argument", self.doc.graph.arguments)
         if block is None:
             return
-        kw, name_tok = block
-        name = name_tok[1]
-        repeated: dict[str, list[str]] = {"data": [], "rebuttal": []}
-        single: dict[str, Optional[str]] = dict.fromkeys(
-            ("warrant", "backing", "claim"))
-        qualifier: Optional[Qualifier] = None
-        for word, _ in self.entries("argument slot keyword", _ARGUMENT_SLOTS):
+        kw, (_, name, _, _) = block
+        slots: dict = {"data": [], "rebuttal": [], **dict.fromkeys(
+            ("warrant", "backing", "claim", "qualifier"))}
+        for word, entry in self.entries(
+                "argument slot keyword", _ARGUMENT_SLOTS,
+                lambda: self.named_line(_NAMED_SLOTS, slots)):
             if word == "qualifier":
-                if self.expect("colon"):
-                    qualifier = self.parse_qualifier() or qualifier
+                if self.expect("colon") and (q := self.parse_qualifier()):
+                    self.put(slots, word, entry, q)
             elif word == "uses":
                 ident = self.expect("ident", "slot proposition id")
                 if ident and self.expect("arrow") and self.expect_kw("argument"):
@@ -364,13 +411,10 @@ class _Parser:
                     if src:
                         self.uses.append((ident, src[1], name))
             elif (pid := self.named_prop()) is not None:
-                if word in repeated:
-                    repeated[word].append(pid)
-                else:
-                    single[word] = pid
+                self.put(slots, word, entry, pid)
         self.doc.graph.arguments[name] = ToulminArgument(
-            name, tuple(repeated["data"]), qualifier=qualifier,
-            rebuttals=tuple(repeated["rebuttal"]), **single)
+            name, tuple(slots.pop("data")),
+            rebuttals=tuple(slots.pop("rebuttal")), **slots)
         self.doc.argument_spans[name] = self.span(kw)
 
     def parse_qualifier(self) -> Optional[Qualifier]:
@@ -396,20 +440,20 @@ class _Parser:
         _, name_tok = block
         name = name_tok[1]
 
-        declared_type: Optional[DialogueType] = None
+        single: dict = {}  # type, settlement
         order: list[str] = []
         order_tok = name_tok
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
-        settlement: Optional[str] = None
         moves: list[Move] = []
 
         for word, entry in self.entries("dialogue entry keyword",
-                                        _DIALOGUE_ENTRIES):
+                                        _DIALOGUE_ENTRIES,
+                                        lambda: self.move_line(moves)):
             if word == "type":
-                if self.expect("colon"):
-                    declared_type = (self.lookup(TYPE_WORDS, "dialogue type name")
-                                     or declared_type)
+                if self.expect("colon") and (t := self.lookup(
+                        TYPE_WORDS, "dialogue type name")):
+                    self.put(single, word, entry, t)
             elif word == "participants":
                 order_tok = entry
                 if self.expect("colon"):
@@ -426,7 +470,7 @@ class _Parser:
                 stance = self.lookup(STANCE_WORDS, "'true', 'false' or 'unknown'")
                 if stance is None:
                     continue
-                stances[pid[1]] = stance
+                self.put(stances, pid[1], entry, stance)
                 if crucial is not None and crucial != prop[1]:
                     self.error("the crucial proposition", prop,
                                "stance lines must share one proposition")
@@ -436,7 +480,7 @@ class _Parser:
             elif word == "settlement":
                 ident = self.expect("ident", "proposition id")
                 if ident:
-                    settlement = ident[1]
+                    self.put(single, word, entry, ident[1])
                     self.pending_refs.append(ident)
             else:  # move
                 turn = self.expect("int", "turn number")
@@ -455,7 +499,7 @@ class _Parser:
                 if turn and speaker and subject is not None:
                     moves.append(Move(int(turn[1]), speaker[1], kind, subject))
 
-        if declared_type is None:
+        if "type" not in single:
             self.error("'type' declaration in dialogue block", name_tok)
             return
         if crucial is None:
@@ -466,8 +510,7 @@ class _Parser:
                 self.span(order_tok), "exactly two participants",
                 str(len(order)), "dialogues are two-party"))
         participants = tuple(
-            Participant(pid,
-                        Role.PROVER if i == 0 else Role.INTERLOCUTOR,
+            Participant(pid, Role.PROVER if i == 0 else Role.INTERLOCUTOR,
                         stances.get(pid, Stance.UNKNOWN))
             for i, pid in enumerate(order))
         for pid in stances:
@@ -475,8 +518,27 @@ class _Parser:
                 self.error("declared participant", name_tok,
                            f"stance for unknown participant '{pid}'")
         self.doc.dialogues[name] = DialogueDecl(
-            name, declared_type, participants, crucial, settlement,
-            tuple(moves))
+            name, single["type"], participants, crucial,
+            single.get("settlement"), tuple(moves))
+
+    def move_line(self, moves: list[Move]) -> bool:
+        """Read a whole `move` line at the cursor into the moves.  False,
+        having read nothing, on any other line."""
+        m = _MOVE_LINE.match(self.source, self.end)
+        if m is None:
+            return False
+        turn, speaker, word, subject = m.groups()
+        kind = MOVE_WORDS.get(word)
+        if kind is None or speaker in KEYWORDS or subject in KEYWORDS:
+            return False
+        if kind is MoveKind.DECLARE_SHIFT:
+            if (subject := TYPE_WORDS.get(subject)) is None:
+                return False
+        else:
+            self.pending_refs.append(("ident", subject, m.start(4), len(subject)))
+        self.end = m.end()
+        moves.append(Move(int(turn), speaker, kind, subject))
+        return True
 
     # --- proof blocks ------------------------------------------------
 
@@ -484,18 +546,13 @@ class _Parser:
         block = self.open_block("proof", self.doc.proofs)
         if block is None:
             return
-        kw, name_tok = block
-        name = name_tok[1]
+        kw, (_, name, _, _) = block
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
             names = [ident[1] for ident in self.ident_list("dialogue name")]
         self.expect("rbrace")
-        for n in names:
-            if n not in self.doc.dialogues:
-                self.error("declared dialogue name", kw,
-                           f"proof '{name}' references unknown "
-                           f"dialogue '{n}'")
         self.doc.proofs[name] = ProofDecl(name, tuple(names))
+        self.pending_proofs += [(kw, name, n) for n in names]
 
     # --- resolution --------------------------------------------------
 
@@ -534,13 +591,17 @@ class _Parser:
         for tok in self.pending_refs:
             if tok[1] not in self.doc.graph.propositions:
                 self.error("declared proposition", tok, "dangling reference")
+        for kw, name, n in self.pending_proofs:
+            if n not in self.doc.dialogues:
+                self.error("declared dialogue name", kw,
+                           f"proof '{name}' references unknown dialogue '{n}'")
 
 
 def parse_document(source: str) -> Document:
     """Parse markup text; raises MarkupError listing every recoverable
     error, the first one earliest in the source.  A span holds at most
     one error, the first one found there."""
-    parser = _Parser(tokenize(source), source)
+    parser = _Parser(source)
     doc = parser.parse()
     if parser.errors:
         first: dict[SourceSpan, ParseError] = {}
@@ -556,29 +617,24 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _slot_props(graph: ArgumentGraph) -> set[str]:
-    used: set[str] = set()
-    for arg in graph.arguments.values():
-        used.update(arg.data)
-        used.update(arg.rebuttals)
-        used.update(p for p in (arg.warrant, arg.claim, arg.backing) if p)
-    return used
-
-
 def serialize(doc: Document) -> str:
     """Canonical text for a document: slot order data, warrant, backing,
     qualifier, rebuttals, claim; two-space indent; LF line endings;
     blocks sorted by name.  parse(serialize(doc)) == doc structurally."""
     graph = doc.graph
-    lines: list[str] = []
+    in_slots = {pid for arg in graph.arguments.values() for pid in (
+        *arg.data, *arg.rebuttals, arg.warrant, arg.claim, arg.backing)}
+    lines = [f"prop {pid}: {_quote(graph.propositions[pid].text)}"
+             for pid in sorted(graph.propositions) if pid not in in_slots]
 
-    in_slots = _slot_props(graph)
-    for pid in sorted(graph.propositions):
-        if pid not in in_slots:
-            lines.append(f"prop {pid}: {_quote(graph.propositions[pid].text)}")
+    def block(head: str) -> None:
+        if lines:
+            lines.append("")
+        lines.append(head + " {")
 
-    def text_of(pid: str) -> str:
-        return _quote(graph.propositions[pid].text)
+    def named(word: str, pids) -> None:
+        lines.extend(f"  {word} {pid}: {_quote(graph.propositions[pid].text)}"
+                     for pid in pids if pid is not None)
 
     uses: dict[str, list[Link]] = {}
     for link in sorted(graph.links):
@@ -586,24 +642,17 @@ def serialize(doc: Document) -> str:
 
     for aid in sorted(graph.arguments):
         arg = graph.arguments[aid]
-        if lines:
-            lines.append("")
-        lines.append(f"argument {_quote(aid)} {{")
-        for d in arg.data:
-            lines.append(f"  data {d}: {text_of(d)}")
-        if arg.warrant is not None:
-            lines.append(f"  warrant {arg.warrant}: {text_of(arg.warrant)}")
-        if arg.backing is not None:
-            lines.append(f"  backing {arg.backing}: {text_of(arg.backing)}")
+        block(f"argument {_quote(aid)}")
+        named("data", arg.data)
+        named("warrant", (arg.warrant,))
+        named("backing", (arg.backing,))
         if arg.qualifier is not None:
             kind = arg.qualifier.kind
             lines.append(f"  qualifier: {kind.value}" + (
                 f" {_quote(arg.qualifier.label)}"
                 if kind is QualifierKind.CUSTOM else ""))
-        for r in arg.rebuttals:
-            lines.append(f"  rebuttal {r}: {text_of(r)}")
-        if arg.claim is not None:
-            lines.append(f"  claim {arg.claim}: {text_of(arg.claim)}")
+        named("rebuttal", arg.rebuttals)
+        named("claim", (arg.claim,))
         for link in uses.get(aid, ()):
             slot = graph.arguments[link.source].claim
             lines.append(f"  uses {slot} <- argument {_quote(link.source)}")
@@ -611,29 +660,19 @@ def serialize(doc: Document) -> str:
 
     for dname in sorted(doc.dialogues):
         d = doc.dialogues[dname]
-        if lines:
-            lines.append("")
-        lines.append(f"dialogue {_quote(dname)} {{")
+        block(f"dialogue {_quote(dname)}")
         lines.append(f"  type: {d.declared_type.value}")
         lines.append("  participants: " + ", ".join(p.id for p in d.participants))
-        for p in d.participants:
-            lines.append(
-                f"  stance {p.id} {d.crucial}: {p.initial_stance.value}")
+        lines += [f"  stance {p.id} {d.crucial}: {p.initial_stance.value}"
+                  for p in d.participants]
         if d.settlement is not None:
             lines.append(f"  settlement {d.settlement}")
-        for m in d.moves:
-            subject = (m.subject.value if isinstance(m.subject, DialogueType)
-                       else m.subject)
-            lines.append(
-                f"  move {m.turn} {m.speaker} {m.kind.value} {subject}")
+        lines += [f"  move {m.turn} {m.speaker} {m.kind.value} "
+                  f"{getattr(m.subject, 'value', m.subject)}" for m in d.moves]
         lines.append("}")
 
     for pname in sorted(doc.proofs):
-        p = doc.proofs[pname]
-        if lines:
-            lines.append("")
-        lines.append(f"proof {_quote(pname)} {{")
-        lines.append("  dialogues: " + ", ".join(p.dialogues))
-        lines.append("}")
+        block(f"proof {_quote(pname)}")
+        lines += ["  dialogues: " + ", ".join(doc.proofs[pname].dialogues), "}"]
 
     return "\n".join(lines) + ("\n" if lines else "")

@@ -431,6 +431,9 @@ class _Parser:
         self.uses: list[tuple[str, str, str, SourceSpan]] = []
         # (prop_id, span) references to resolve after the full parse
         self.pending_refs: list[tuple[str, SourceSpan]] = []
+        # (proof keyword span, proof name, dialogue names) to resolve
+        # after the full parse
+        self.pending_proofs: list[tuple[SourceSpan, str, list[str]]] = []
 
     def peek(self) -> Token:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
@@ -490,6 +493,14 @@ class _Parser:
                 depth -= 1
                 if depth <= 0:
                     return
+
+    def repeated(self, kw: Token, key: Optional[str] = None) -> None:
+        """A second single-valued entry (a second stance line for
+        participant `key`), reported at its keyword."""
+        self.errors.append(ParseError(
+            kw.span, f"one '{kw.value}' entry"
+            + (f" for '{key}'" if key else ""), kw.value,
+            "repeated entry"))
 
     # --- propositions ------------------------------------------------
 
@@ -577,18 +588,34 @@ class _Parser:
                 if pid is not None:
                     rebuttals.append(pid)
             elif self.at_kw("warrant"):
-                self.next()
-                warrant = named_slot() or warrant
+                entry = self.next()
+                pid = named_slot()
+                if pid is not None and warrant is not None:
+                    self.repeated(entry)
+                elif pid is not None:
+                    warrant = pid
             elif self.at_kw("backing"):
-                self.next()
-                backing = named_slot() or backing
+                entry = self.next()
+                pid = named_slot()
+                if pid is not None and backing is not None:
+                    self.repeated(entry)
+                elif pid is not None:
+                    backing = pid
             elif self.at_kw("claim"):
-                self.next()
-                claim = named_slot() or claim
+                entry = self.next()
+                pid = named_slot()
+                if pid is not None and claim is not None:
+                    self.repeated(entry)
+                elif pid is not None:
+                    claim = pid
             elif self.at_kw("qualifier"):
-                self.next()
+                entry = self.next()
                 if self.expect("colon"):
-                    qualifier = self.parse_qualifier() or qualifier
+                    q = self.parse_qualifier()
+                    if q is not None and qualifier is not None:
+                        self.repeated(entry)
+                    elif q is not None:
+                        qualifier = q
             elif self.at_kw("uses"):
                 self.next()
                 ident = self.expect("ident", "slot proposition id")
@@ -648,10 +675,13 @@ class _Parser:
                 self.error("'}'")
                 break
             if self.at_kw("type"):
-                self.next()
+                kw = self.next()
                 if self.expect("colon"):
                     t = self.next()
-                    if t.kind == "ident" and t.value in TYPE_WORDS:
+                    if (t.kind == "ident" and t.value in TYPE_WORDS
+                            and declared_type is not None):
+                        self.repeated(kw)
+                    elif t.kind == "ident" and t.value in TYPE_WORDS:
                         declared_type = TYPE_WORDS[t.value]
                     else:
                         self.error("dialogue type name", t)
@@ -664,13 +694,16 @@ class _Parser:
                                        "duplicate participant")
                         order.append(ident.value)
             elif self.at_kw("stance"):
-                self.next()
+                kw = self.next()
                 pid = self.expect("ident", "participant id")
                 prop = self.expect("ident", "proposition id")
                 if pid and prop and self.expect("colon"):
                     v = self.next()
                     if v.kind == "ident" and v.value in STANCE_WORDS:
-                        stances[pid.value] = STANCE_WORDS[v.value]
+                        if pid.value in stances:
+                            self.repeated(kw, pid.value)
+                        else:
+                            stances[pid.value] = STANCE_WORDS[v.value]
                     else:
                         self.error("'true', 'false' or 'unknown'", v)
                         continue
@@ -681,10 +714,13 @@ class _Parser:
                         crucial = prop.value
                         self.pending_refs.append((prop.value, prop.span))
             elif self.at_kw("settlement"):
-                self.next()
+                kw = self.next()
                 ident = self.expect("ident", "proposition id")
-                if ident:
+                if ident and settlement is not None:
+                    self.repeated(kw)
+                elif ident:
                     settlement = ident.value
+                if ident:
                     self.pending_refs.append((ident.value, ident.span))
             elif self.at_kw("move"):
                 self.next()
@@ -753,11 +789,7 @@ class _Parser:
         if self.expect_kw("dialogues") and self.expect("colon"):
             names = [ident.value for ident in self.ident_list("dialogue name")]
         self.expect("rbrace")
-        for n in names:
-            if n not in self.doc.dialogues:
-                self.error("declared dialogue name", kw,
-                           f"proof '{name.value}' references unknown "
-                           f"dialogue '{n}'")
+        self.pending_proofs.append((kw.span, name.value, names))
         self.doc.proofs[name.value] = ProofDecl(name.value, tuple(names))
         self.block_spans[f"proof:{name.value}"] = kw.span
 
@@ -799,6 +831,12 @@ class _Parser:
             if pid not in self.doc.graph.propositions:
                 self.errors.append(ParseError(
                     span, "declared proposition", pid, "dangling reference"))
+        for span, name, names in self.pending_proofs:
+            for n in names:
+                if n not in self.doc.dialogues:
+                    self.errors.append(ParseError(
+                        span, "declared dialogue name", "proof",
+                        f"proof '{name}' references unknown dialogue '{n}'"))
 
 def parse_document(source: str) -> tuple[Document, dict[str, SourceSpan]]:
     """Parse markup text into the document and its block spans, keyed

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from test_fuzz import documents as fragment_documents
+from test_fuzz import NEAR_MISSES, documents as fragment_documents
 from test_markup import spanned_tokens
 from prooftalk.cli import fixture_paths, main
 from prooftalk.engine import (
@@ -395,6 +395,15 @@ def test_parse_document_matches_reference(source):
 @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
 def test_parse_document_matches_reference_on_fixtures(path):
     assert_parse_matches_reference(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("line", NEAR_MISSES)
+@pytest.mark.parametrize("block", ["", 'argument "a" {', 'dialogue "d" {'])
+def test_near_misses_match_reference(block, line):
+    # Where a statement is read whole: at the top level, and first in an
+    # argument or a dialogue block.
+    source = f'prop p: "P"\n{block}\n{line}\n' + ("}\n" if block else "")
+    assert_parse_matches_reference(source)
 
 
 @pytest.mark.parametrize("name", [

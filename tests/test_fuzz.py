@@ -4,8 +4,9 @@ Documents are drawn as arbitrary text and as concatenations of grammar
 fragments, among them the edge cases the parser has to reject with a
 located error: an empty custom qualifier label, one- and three-party
 `participants` lines and `uses` lines outside any argument.  Fragments
-also carry CRLF line ends, tabs, a comment that may end the file and
-Unicode identifiers.
+also carry CRLF line ends, tabs, a comment that may end the file,
+Unicode identifiers, and near misses of the one-line statements that
+the parser reads with one match.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -13,6 +14,17 @@ from hypothesis import strategies as st
 
 from prooftalk.cli import main
 from prooftalk.markup import Document, MarkupError, parse_document
+
+# Edges of the one-line statements that the parser reads with one match:
+# most fall just outside, so the token path reads them (the last two hold
+# a digit that is not ASCII, which the lexer rejects).
+NEAR_MISSES = (
+    'move 1 data assert p', 'move 1 x assert data', 'move 1 x declare_shift p',
+    'move 1 x asserts p', 'move 007 x assert p', 'move 1 x assert p"s"',
+    'move 1\tx\tassert\tp', 'prop data: "x"', 'prop p: "a \\" b"',
+    'data p:"P"', 'stance x p: "P"', 'move \u0663 x assert p',
+    'move 1 \u00b2x assert p',
+)
 
 FRAGMENTS = (
     'version 1', 'prop p: "P"', 'prop q: "Q"', '}',
@@ -30,7 +42,7 @@ FRAGMENTS = (
     'proof "pr" {', 'dialogues: d',
     'prop q: "Q"\r', '\tclaim c: "C"\t', '# comment, maybe at the end',
     'prop é_1: "É"', 'participants: ünal, ñ', 'stance ünal é_1: true',
-    'move 1 ñ assert é_1',
+    'move 1 ñ assert é_1', *NEAR_MISSES,
 )
 
 EMPTY_LABEL = 'argument "a" {\nqualifier: custom ""\n}'

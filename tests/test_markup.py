@@ -2,9 +2,11 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from test_fuzz import documents as fragment_documents
 from prooftalk import markup
+from prooftalk.analysis import analyze_document
 from prooftalk.cli import fixture_paths
 from prooftalk.engine import Move, MoveKind, Participant, Role
 from prooftalk.markup import (
@@ -316,6 +318,88 @@ class TestParseDocument:
         assert (err.expected, err.found) == ("custom qualifier label", '""')
         assert err.hint == "a custom label must be non-empty"
 
+    @pytest.mark.parametrize("entry", [
+        'claim c: "C"',     # read whole
+        'claim c:\n"C"',    # read token by token
+        'warrant w: "W"', 'backing b: "B"', 'qualifier: probably'])
+    def test_repeated_single_valued_slot(self, entry):
+        src = f'argument "a" {{\n  data d: "D"\n  {entry}\n  {entry}\n}}\n'
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        word = entry.split()[0].rstrip(":")
+        assert err.span.offset == src.rindex(entry)
+        assert (err.expected, err.found, err.hint) == (
+            f"one '{word}' entry", word, "repeated entry")
+
+    @pytest.mark.parametrize("entry, expected", [
+        ("type: inquiry", "one 'type' entry"),
+        ("settlement p", "one 'settlement' entry"),
+        ("stance a p: false", "one 'stance' entry for 'a'")])
+    def test_repeated_single_valued_dialogue_entry(self, entry, expected):
+        src = ('prop p: "P"\n'
+               'dialogue "d" {\n  type: persuasion\n  participants: a, b\n'
+               '  stance a p: true\n  stance b p: false\n  settlement p\n'
+               f'  {entry}\n}}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (8, 3)
+        assert (err.expected, err.hint) == (expected, "repeated entry")
+
+    def test_proof_may_come_before_its_dialogues(self):
+        src = ('proof "pr" { dialogues: d }\nprop p: "P"\n'
+               'dialogue "d" { type: inquiry participants: a, b'
+               ' stance a p: unknown stance b p: unknown }\n')
+        assert parse_document(src).proofs["pr"] == ProofDecl("pr", ("d",))
+
+    def test_unknown_proof_dialogue_is_reported_at_the_proof(self):
+        with pytest.raises(MarkupError) as exc:
+            parse_document('prop p: "P"\n\nproof "pr" { dialogues: d, e }\n')
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column, err.span.length) == (3, 1, 5)
+        assert err.message == ("expected declared dialogue name, found proof "
+                               "(proof 'pr' references unknown dialogue 'd')")
+
+
+class TestStatements:
+    """Whole one-line statements are read with one match each, so the
+    parser lexes far fewer tokens than it reads statements."""
+
+    def count_lexes(self, monkeypatch, source):
+        lexed = []
+
+        def counting_lex(source, pos):
+            lexed.append(pos)
+            return real_lex(source, pos)
+
+        real_lex = markup._lex
+        monkeypatch.setattr(markup, "_lex", counting_lex)
+        doc = parse_document(source)
+        return doc, len(lexed)
+
+    def test_moves_are_read_whole(self, monkeypatch):
+        kinds = ("assert", "question", "challenge", "concede")
+        moves = [f"  move {t} {'ab'[t % 2]} {kinds[t % 4]} p{t % 7}"
+                 for t in range(1, 500)]
+        moves.append("  move 500 a declare_shift deliberation")
+        src = ("".join(f'prop p{i}: "P{i}"\n' for i in range(7))
+               + 'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
+               + "  stance a p0: unknown\n  stance b p0: unknown\n"
+               + "\n".join(moves) + "\n}\n")
+        doc, lexes = self.count_lexes(monkeypatch, src)
+        assert len(doc.dialogues["d"].moves) == 500
+        assert doc.dialogues["d"].moves[-1].subject is DialogueType.DELIBERATION
+        assert lexes <= 500 // 10
+
+    def test_argument_slots_are_read_whole(self, monkeypatch):
+        src = ('argument "a" {\n'
+               + "".join(f'  data d{i}: "datum {i}"\n' for i in range(98))
+               + '  warrant w: "W"\n  claim c: "C"\n}\n')
+        doc, lexes = self.count_lexes(monkeypatch, src)
+        assert len(doc.graph.arguments["a"].data) == 98
+        assert lexes <= 100 // 10
+
 
 class TestSerialize:
     def test_empty_document(self):
@@ -403,3 +487,50 @@ class TestRoundTripProperty:
     @given(documents())
     def test_parse_serialize_identity(self, doc):
         assert parse_document(serialize(doc)) == doc
+
+
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in fixture_paths()]
+SEPARATORS = (" ", "\t", "\n", " # c\n")
+
+
+def rejoined(source, rng):
+    """The source's tokens as written, each followed by a separator drawn
+    at random.  A statement with a separator other than a blank between
+    its fields is read token by token."""
+    return "".join(source[offset:offset + length] + rng.choice(SEPARATORS)
+                   for _, _, offset, length in tokenize(source))
+
+
+def lexes(source):
+    try:
+        tokenize(source)
+    except MarkupError:
+        return False
+    return True
+
+
+def outcome(source):
+    """The document, or its errors without their spans."""
+    try:
+        return parse_document(source)
+    except MarkupError as exc:
+        return [(e.expected, e.found, e.hint) for e in exc.errors]
+
+
+class TestStatementBoundary:
+    """Reading a statement whole and reading it token by token agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.sampled_from(FIXTURE_TEXTS),
+                     fragment_documents.filter(lexes)),
+           st.randoms(use_true_random=False))
+    def test_separators_leave_the_outcome(self, source, rng):
+        assert outcome(rejoined(source, rng)) == outcome(source)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(st.sampled_from(FIXTURE_TEXTS).map(parse_document),
+                     documents()))
+    def test_analysis_survives_a_round_trip(self, doc):
+        assert analyze_document(parse_document(serialize(doc))) == \
+            analyze_document(doc)
