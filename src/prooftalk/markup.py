@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -96,13 +96,29 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 
-# One-line statements read whole, each with one match: `move TURN SPEAKER
-# KIND SUBJECT` and `WORD ID: "TEXT"`.  They take only text that lexes the
-# same (ASCII identifier starts and digits, blanks between fields, strings
-# without escapes); keywords are checked on the matched words.
-_MOVE_LINE = re.compile(
-    r"[ \t\r\n]*move +([0-9]+) +([A-Za-z_]\w*) +([a-z_]+) +([A-Za-z_]\w*)")
-_NAMED_LINE = re.compile(r'[ \t\r\n]*([a-z]+) +([A-Za-z_]\w*) *: *"([^"\\]*)"')
+# One-line statements read whole, each with one match of its place's pattern
+# (the last group names the form), take only text that lexes the same: ASCII
+# identifier starts (`_Parser.statement` turns keywords away), blanks between
+# fields, strings without escapes, whole table words (not `custom`: a label
+# follows), and turns of at most nine digits, which `int` always reads.
+_ID = r"[A-Za-z_]\w*"
+_NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
+_TOP_LINE = re.compile(rf"""[ \t\r\n]* (?: (?P<prop> prop {_NAMED} )
+  | (?P<head> (?P<block>argument|dialogue|proof) [ ]*
+        (?P<name>"[^"\\]*") [ ]* \{{ ) )""", re.VERBOSE)
+_ARGUMENT_LINE = re.compile(rf"""[ \t\r\n]* (?:
+    (?P<named> (?P<word>data|warrant|backing|rebuttal|claim) {_NAMED} )
+  | (?P<qualifier> qualifier [ ]*:[ ]* (?P<degree>{"|".join(
+        w for w in QUALIFIER_WORDS if w != "custom")})\b )
+  | (?P<uses> uses [ ]+ (?P<slot>{_ID}) [ ]* <- [ ]* argument [ ]*
+        "(?P<source>[^"\\]*)" )
+  | (?P<close> \}} ) )""", re.VERBOSE)
+_DIALOGUE_LINE = re.compile(rf"""[ \t\r\n]* (?:
+    (?P<move> move [ ]+ (?P<turn>[0-9]{{1,9}}) [ ]+ (?P<speaker>{_ID}) [ ]+ (?:
+        declare_shift [ ]+ (?P<type>{"|".join(TYPE_WORDS)})\b
+      | (?P<kind>{"|".join(w for w in MOVE_WORDS if w != "declare_shift")})
+        [ ]+ (?P<subject>{_ID}) ) )
+  | (?P<close> \}} ) )""", re.VERBOSE)
 
 
 def _line_starts(source: str) -> list[int]:
@@ -203,8 +219,9 @@ class _Parser:
         self.source = source
         self.end = 0
         self.tok: Optional[_Lexeme] = None
-        # Built by the first span reported, if any.
+        # Built by the first error reported, if any.
         self.line_starts: Optional[list[int]] = None
+        self.lines = self.counted = 0  # newlines before `counted` (blocks in order)
         self.errors: list[ParseError] = []
         self.doc = Document()
         # (slot id token, source_arg_name, target_arg_name)
@@ -285,26 +302,45 @@ class _Parser:
                 if depth <= 0:
                     return
 
-    def open_block(self, what: str,
-                   declared: dict) -> Optional[tuple[_Lexeme, _Lexeme]]:
-        """`keyword "name" {`: the keyword and name tokens, or None after
-        skipping a malformed block.  A name already `declared` is reported."""
-        kw = self.next()
-        name = self.expect("string", f"{what} name")
-        if name is None or not self.expect("lbrace"):
-            self.skip_block()
+    def statement(self, pattern: re.Pattern, idents: tuple[str, ...]
+                  ) -> Optional[re.Match]:
+        """The statement `pattern` reads whole, no `idents` a keyword, or None."""
+        if not (line := self.tok is None and pattern.match(self.source, self.end)):
             return None
+        for ident in idents:
+            if line[ident] in KEYWORDS:
+                return None
+        self.end = line.end()
+        return line
+
+    def open_block(self, what: str, declared: dict, head: Optional[re.Match]
+                   ) -> Optional[tuple[_Lexeme, _Lexeme]]:
+        """`keyword "name" {` from `head` or token by token: the keyword and name
+        tokens, or None after skipping a bad block; a `declared` name is reported."""
+        if head is not None:
+            kw = ("keyword", what, head.start("head"), len(what))
+            name = ("string", head["name"][1:-1], head.start("name"),
+                    len(head["name"]))
+        else:
+            kw = self.next()
+            name = self.expect("string", f"{what} name")
+            if name is None or not self.expect("lbrace"):
+                self.skip_block()
+                return None
         if name[1] in declared:
             self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
-    def entries(self, expected: str, words: frozenset[str],
-                line: Callable[[], bool]) -> Iterator[tuple[str, _Lexeme]]:
-        """Each entry keyword of a block body, as its word and its token,
-        through the closing `}`; any other token is reported and skipped.
-        Before an entry is lexed, `line()` may read it whole and say so."""
+    def entries(self, expected: str, words: frozenset[str], pattern: re.Pattern,
+                idents: tuple[str, ...]
+                ) -> Iterator[tuple[str, Optional[_Lexeme], Optional[re.Match]]]:
+        """A block body's entries up to its `}`: (form, None, match) for each
+        statement `pattern` reads whole, else (keyword, token, None)."""
         while True:
-            if self.tok is None and line():
+            if line := self.statement(pattern, idents):
+                if (form := line.lastgroup) == "close":
+                    return
+                yield form, None, line
                 continue
             tok = self.next()
             kind, value = tok[0], tok[1]
@@ -314,7 +350,7 @@ class _Parser:
                 self.error("'}'", tok)
                 return
             if kind == "keyword" and value in words:
-                yield value, tok
+                yield value, tok, None
             else:
                 self.error(expected, tok)
 
@@ -341,27 +377,17 @@ class _Parser:
                        "duplicate id with conflicting text")
         return pid
 
-    def named_prop(self) -> Optional[str]:
-        """`id: "text"`, declaring the proposition: its id, or None."""
+    def named_prop(self, line: Optional[re.Match] = None) -> Optional[str]:
+        """Declare `id: "text"` (from `line`, or token by token): its id, or None."""
+        if line is not None:
+            pid = line["id"]
+            return self.declare(("ident", pid, line.start("id"), len(pid)),
+                                line["text"])
         ident = self.expect("ident", "proposition id")
         if ident is None or not self.expect("colon"):
             return None
         text = self.expect("string", "proposition text")
         return None if text is None else self.declare(ident, text[1])
-
-    def named_line(self, words, held: Optional[dict] = None) -> bool:
-        """Read a whole `WORD id: "text"` line at the cursor, WORD one of
-        `words`: declare the proposition and put its id in `held` under
-        WORD.  False, having read nothing, on any other line."""
-        m = _NAMED_LINE.match(self.source, self.end)
-        if m is None or m[1] not in words or m[2] in KEYWORDS:
-            return False
-        self.end = m.end()
-        word, pid = m[1], m[2]
-        self.declare(("ident", pid, m.start(2), len(pid)), m[3])
-        if held is not None:
-            self.put(held, word, ("keyword", word, m.start(1), len(word)), pid)
-        return True
 
     # --- top level ---------------------------------------------------
 
@@ -370,7 +396,11 @@ class _Parser:
             self.next()
             self.expect("int", "version number")
         while True:
-            if self.tok is None and self.named_line(("prop",)):
+            if line := self.statement(_TOP_LINE, ("id",)):
+                if line.lastgroup == "prop":
+                    self.named_prop(line)
+                else:
+                    getattr(self, "parse_" + line["block"])(line)
                 continue
             kind, value, _, _ = self.peek()
             if kind == "eof":
@@ -391,20 +421,32 @@ class _Parser:
 
     # --- argument blocks ---------------------------------------------
 
-    def parse_argument(self) -> None:
-        block = self.open_block("argument", self.doc.graph.arguments)
+    def parse_argument(self, head: Optional[re.Match] = None) -> None:
+        block = self.open_block("argument", self.doc.graph.arguments, head)
         if block is None:
             return
         kw, (_, name, _, _) = block
-        slots: dict = {"data": [], "rebuttal": [], **dict.fromkeys(
-            ("warrant", "backing", "claim", "qualifier"))}
-        for word, entry in self.entries(
-                "argument slot keyword", _ARGUMENT_SLOTS,
-                lambda: self.named_line(_NAMED_SLOTS, slots)):
-            if word == "qualifier":
-                if self.expect("colon") and (q := self.parse_qualifier()):
+        slots: dict = {"data": [], "rebuttal": [], "warrant": None,
+                       "backing": None, "claim": None, "qualifier": None}
+        for word, entry, line in self.entries(
+                "argument slot keyword", _ARGUMENT_SLOTS, _ARGUMENT_LINE,
+                ("id", "slot")):
+            if word == "named":  # a named slot read whole
+                word, pid = line["word"], self.named_prop(line)
+                at = line.start("named")
+                self.put(slots, word, ("keyword", word, at, len(word)), pid)
+            elif word == "qualifier":
+                if line:
+                    self.put(slots, word, ("keyword", word, line.start(word), 9),
+                             Qualifier(QUALIFIER_WORDS[line["degree"]]))
+                elif self.expect("colon") and (q := self.parse_qualifier()):
                     self.put(slots, word, entry, q)
             elif word == "uses":
+                if line:
+                    slot = line["slot"]
+                    self.uses.append((("ident", slot, line.start("slot"), len(slot)),
+                                      line["source"], name))
+                    continue
                 ident = self.expect("ident", "slot proposition id")
                 if ident and self.expect("arrow") and self.expect_kw("argument"):
                     src = self.expect("string", "argument name")
@@ -413,9 +455,12 @@ class _Parser:
             elif (pid := self.named_prop()) is not None:
                 self.put(slots, word, entry, pid)
         self.doc.graph.arguments[name] = ToulminArgument(
-            name, tuple(slots.pop("data")),
-            rebuttals=tuple(slots.pop("rebuttal")), **slots)
-        self.doc.argument_spans[name] = self.span(kw)
+            name, tuple(slots["data"]), slots["warrant"], slots["claim"],
+            slots["backing"], slots["qualifier"], tuple(slots["rebuttal"]))
+        self.lines += self.source.count("\n", self.counted, kw[2])
+        self.counted = kw[2]
+        self.doc.argument_spans[name] = SourceSpan(
+            self.lines + 1, kw[2] - self.source.rfind("\n", 0, kw[2]), *kw[2:])
 
     def parse_qualifier(self) -> Optional[Qualifier]:
         kind = self.lookup(QUALIFIER_WORDS, "qualifier keyword")
@@ -433,8 +478,8 @@ class _Parser:
 
     # --- dialogue blocks ---------------------------------------------
 
-    def parse_dialogue(self) -> None:
-        block = self.open_block("dialogue", self.doc.dialogues)
+    def parse_dialogue(self, head: Optional[re.Match] = None) -> None:
+        block = self.open_block("dialogue", self.doc.dialogues, head)
         if block is None:
             return
         _, name_tok = block
@@ -446,11 +491,20 @@ class _Parser:
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
         moves: list[Move] = []
+        props = self.doc.graph.propositions
 
-        for word, entry in self.entries("dialogue entry keyword",
-                                        _DIALOGUE_ENTRIES,
-                                        lambda: self.move_line(moves)):
-            if word == "type":
+        for word, entry, line in self.entries(
+                "dialogue entry keyword", _DIALOGUE_ENTRIES, _DIALOGUE_LINE,
+                ("speaker", "subject")):
+            if line:  # move
+                _, turn, speaker, shift, kind, subject, _ = line.groups()
+                if shift:
+                    kind, subject = "declare_shift", TYPE_WORDS[shift]
+                elif subject not in props:  # check it later
+                    self.pending_refs.append(
+                        ("ident", subject, line.start("subject"), len(subject)))
+                moves.append(Move(int(turn), speaker, MOVE_WORDS[kind], subject))
+            elif word == "type":
                 if self.expect("colon") and (t := self.lookup(
                         TYPE_WORDS, "dialogue type name")):
                     self.put(single, word, entry, t)
@@ -497,7 +551,11 @@ class _Parser:
                 else:
                     self.error("proposition id", subj_tok)
                 if turn and speaker and subject is not None:
-                    moves.append(Move(int(turn[1]), speaker[1], kind, subject))
+                    try:
+                        moves.append(Move(int(turn[1]), speaker[1], kind, subject))
+                    except ValueError:  # more digits than `int` reads
+                        self.errors.append(ParseError(self.span(turn), "turn number",
+                                                      turn[1][:20], "too long"))
 
         if "type" not in single:
             self.error("'type' declaration in dialogue block", name_tok)
@@ -521,29 +579,10 @@ class _Parser:
             name, single["type"], participants, crucial,
             single.get("settlement"), tuple(moves))
 
-    def move_line(self, moves: list[Move]) -> bool:
-        """Read a whole `move` line at the cursor into the moves.  False,
-        having read nothing, on any other line."""
-        m = _MOVE_LINE.match(self.source, self.end)
-        if m is None:
-            return False
-        turn, speaker, word, subject = m.groups()
-        kind = MOVE_WORDS.get(word)
-        if kind is None or speaker in KEYWORDS or subject in KEYWORDS:
-            return False
-        if kind is MoveKind.DECLARE_SHIFT:
-            if (subject := TYPE_WORDS.get(subject)) is None:
-                return False
-        else:
-            self.pending_refs.append(("ident", subject, m.start(4), len(subject)))
-        self.end = m.end()
-        moves.append(Move(int(turn), speaker, kind, subject))
-        return True
-
     # --- proof blocks ------------------------------------------------
 
-    def parse_proof(self) -> None:
-        block = self.open_block("proof", self.doc.proofs)
+    def parse_proof(self, head: Optional[re.Match] = None) -> None:
+        block = self.open_block("proof", self.doc.proofs, head)
         if block is None:
             return
         kw, (_, name, _, _) = block

@@ -9,7 +9,7 @@ or as backing for another.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -107,9 +107,14 @@ _LINK_SOURCE = attrgetter("source")
 
 @dataclass
 class ArgumentGraph:
+    """Links are kept sorted: construction sorts them, and `add_link`
+    inserts each new one in order."""
     propositions: dict[str, Proposition] = field(default_factory=dict)
     arguments: dict[str, ToulminArgument] = field(default_factory=dict)
     links: tuple[Link, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.links = tuple(sorted(self.links))
 
 
 class Severity(str, Enum):
@@ -265,10 +270,13 @@ def add_link(graph: ArgumentGraph, source: str, target: str,
     if not _claim_in_slot(graph, link):
         raise SlotMismatch(
             f"claim of '{source}' does not occupy the {role.value} slot of '{target}'")
-    new_links = tuple(sorted(graph.links + (link,)))
+    at = bisect_right(graph.links, link)
+    new_links = graph.links[:at] + (link,) + graph.links[at:]
     if _reaches(new_links, target, source):
         raise CycleError(f"link {source}->{target} would close a support cycle")
-    return replace(graph, links=new_links)
+    new = ArgumentGraph(graph.propositions, graph.arguments)
+    new.links = new_links  # already sorted
+    return new
 
 
 def render_reading(arg: ToulminArgument, graph: ArgumentGraph) -> str:

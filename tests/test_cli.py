@@ -133,7 +133,9 @@ class TestValidate:
 @pytest.mark.parametrize("source", [
     "participants: prover", "participants: prover, critic, judge",
     "participants: prover, prover", "participants: prover, critic\n"
-    "  move \u00b2 prover assert p"])
+    "  move \u00b2 prover assert p",
+    pytest.param("participants: prover, critic\n  move " + "1" * 5000
+                 + " prover assert p", id="turn of 5000 digits")])
 @pytest.mark.parametrize("command", ["analyze", "validate", "diagram",
                                      "classify"])
 def test_malformed_dialogue_is_located_usage_error(

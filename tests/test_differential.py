@@ -5,6 +5,7 @@ in `oracles`, and the CLI output on the shipped corpus matches the
 recorded golden output byte for byte."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,9 @@ from prooftalk.model import (
 from prooftalk.shifts import Segment, detect_shifts, segment_moves
 from prooftalk import typology
 from prooftalk.typology import DialogueType, Stance
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import graphs  # noqa: E402  (the argument_graphs benchmark's generator)
 
 N_ARGS = 6
 nodes = st.integers(0, N_ARGS - 1)
@@ -395,6 +399,15 @@ def test_parse_document_matches_reference(source):
 @pytest.mark.parametrize("path", fixture_paths(), ids=lambda p: p.name)
 def test_parse_document_matches_reference_on_fixtures(path):
     assert_parse_matches_reference(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("shape", graphs.SHAPES)
+@pytest.mark.parametrize("n_args", [20, 60])
+def test_parse_document_matches_reference_on_benchmark_graphs(n_args, shape):
+    # The shapes the argument_graphs benchmark times, read almost
+    # entirely as whole statements.
+    text, _ = graphs.make_document(f"differential:{n_args}:{shape}", n_args, shape)
+    assert_parse_matches_reference(text)
 
 
 @pytest.mark.parametrize("line", NEAR_MISSES)

@@ -16,14 +16,19 @@ from prooftalk.cli import main
 from prooftalk.markup import Document, MarkupError, parse_document
 
 # Edges of the one-line statements that the parser reads with one match:
-# most fall just outside, so the token path reads them (the last two hold
-# a digit that is not ASCII, which the lexer rejects).
+# most fall just outside, so the token path reads them (two hold a digit
+# that is not ASCII, which the lexer rejects).
 NEAR_MISSES = (
     'move 1 data assert p', 'move 1 x assert data', 'move 1 x declare_shift p',
     'move 1 x asserts p', 'move 007 x assert p', 'move 1 x assert p"s"',
     'move 1\tx\tassert\tp', 'prop data: "x"', 'prop p: "a \\" b"',
     'data p:"P"', 'stance x p: "P"', 'move \u0663 x assert p',
-    'move 1 \u00b2x assert p',
+    'move 1 \u00b2x assert p', 'move 1234567890 x assert p',
+    'qualifier: probably2', 'qualifier:probably', 'qualifier: custom "x"',
+    'qualifier: probably "x"', 'uses argument <- argument "a"',
+    'uses c <-argument "a"', 'uses c < - argument "a"', 'uses c <- proof "a"',
+    'uses c <- argument "a\\"b"', 'uses \u00e9 <- argument "a"',
+    'argument "a"{', 'argument "a\\"" {', 'dialogue"d" {', 'prop "p" {', '}}',
 )
 
 FRAGMENTS = (

@@ -308,6 +308,19 @@ class TestParseDocument:
         assert err.found == "\u00b2"
         assert err.hint == "numbers use ASCII digits"
 
+    @pytest.mark.parametrize("gap", [" ", "\t"])  # statement layout, or not
+    def test_turn_too_long_for_int(self, gap):
+        # More digits than Python's int() converts by default (4300).
+        src = ('prop p: "x"\n'
+               'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
+               f'  stance a p: unknown\n  move{gap}{"1" * 5000}{gap}a assert p\n}}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column, err.span.length) == (6, 8, 5000)
+        assert (err.expected, err.found, err.hint) == (
+            "turn number", "1" * 20, "too long")
+
     def test_empty_custom_qualifier_label(self):
         src = ('argument "a" {\n  data d: "D"\n  warrant w: "W"\n'
                '  qualifier: custom ""\n  claim c: "C"\n}\n')
@@ -321,7 +334,8 @@ class TestParseDocument:
     @pytest.mark.parametrize("entry", [
         'claim c: "C"',     # read whole
         'claim c:\n"C"',    # read token by token
-        'warrant w: "W"', 'backing b: "B"', 'qualifier: probably'])
+        'warrant w: "W"', 'backing b: "B"', 'qualifier: probably',
+        'qualifier:\tprobably'])
     def test_repeated_single_valued_slot(self, entry):
         src = f'argument "a" {{\n  data d: "D"\n  {entry}\n  {entry}\n}}\n'
         with pytest.raises(MarkupError) as exc:
@@ -399,6 +413,20 @@ class TestStatements:
         doc, lexes = self.count_lexes(monkeypatch, src)
         assert len(doc.graph.arguments["a"].data) == 98
         assert lexes <= 100 // 10
+
+    def test_argument_blocks_are_read_whole(self, monkeypatch):
+        # A chain: heads, named slots, qualifiers, `uses` lines and braces.
+        blocks = [f'argument "a{i}" {{\n'
+                  + (f'  data c{i - 1}: "C{i - 1}"\n' if i else '  data d: "D"\n')
+                  + f'  warrant w{i}: "W{i}"\n  qualifier: probably\n'
+                  + f'  claim c{i}: "C{i}"\n'
+                  + (f'  uses c{i - 1} <- argument "a{i - 1}"\n' if i else "")
+                  + "}\n" for i in range(100)]
+        doc, lexes = self.count_lexes(monkeypatch, "".join(blocks))
+        assert len(doc.graph.arguments) == 100 and len(doc.graph.links) == 99
+        assert doc.graph.arguments["a99"].qualifier == Qualifier(
+            QualifierKind.PROBABLY)
+        assert lexes <= (100 * 6 - 1) // 10
 
 
 class TestSerialize:
