@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import StanceMismatch, goal_achieved, new_dialogue, replay_moves
+from .engine import (
+    Polarity,
+    StanceMismatch,
+    goal_achieved,
+    new_dialogue,
+    replay_moves,
+)
 from .markup import DialogueDecl, Document
 from .shifts import detect_shifts, segment_moves
 from .typology import (
@@ -26,6 +32,9 @@ from .typology import (
     infer_initial_situation,
     proof_dialogue_row,
 )
+
+# Read per commitment: a dict lookup is cheaper than the `value` property.
+_POLARITY_NAME = {pol: pol.value for pol in Polarity}
 
 
 def _classify(decl: DialogueDecl) -> tuple[dict, Optional[ProofDialogueType]]:
@@ -86,7 +95,8 @@ def _analyze_dialogue(decl: DialogueDecl
                        [{"turn": result.violation.turn,
                          "rule": result.violation.rule}]),
         "stores": {
-            s.owner: sorted([p, pol.value] for p, pol in s.commitments)
+            s.owner: sorted([p, _POLARITY_NAME[pol]]
+                            for p, pol in s.commitments)
             for s in state.stores
         },
         "segments": [

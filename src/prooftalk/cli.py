@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import markup, typology
@@ -42,8 +42,62 @@ def _load(path: str, out) -> markup.Document | int:
         return EXIT_USAGE
 
 
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value, out: list[str], indent: str) -> None:
+    """Append the value's JSON text to out, nested at the indent (a
+    newline and the spaces of the value's own line).  Each key and
+    scalar goes out in one piece with the separator before it."""
+    keyed = isinstance(value, dict)
+    if keyed:
+        items, brackets = sorted(value.items()), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        out.append(_scalar(value))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    lead, sep = brackets[0] + inner, "," + inner
+    for item in items:
+        if keyed:
+            key, item = item
+            lead += _quote(key) + ": "
+        if isinstance(item, str):
+            out.append(lead + _quote(item))
+        elif isinstance(item, (dict, list, tuple)):
+            out.append(lead)
+            _write(item, out, inner)
+        else:
+            out.append(lead + _scalar(item))
+        lead = sep
+    out.append(indent + brackets[1])
+
+
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of `json.dumps(doc, indent=2, sort_keys=True)` and a
+    newline, for str, int, bool, None, lists, tuples and str-keyed
+    dicts; any other value raises TypeError.  Unlike the standard
+    library's indenting encoder, this leaves no reference cycles."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(text: str, out_path) -> int:

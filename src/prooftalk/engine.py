@@ -159,7 +159,7 @@ def new_dialogue(dialogue_type: DialogueType, crucial: str,
 def kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
     """The rule a move of the kind breaks under the dialogue type, or None
     when the type allows the kind: the state-independent part of the
-    legality matrix."""
+    legality matrix, written once here and read through KIND_RULES."""
     if kind is MoveKind.RETRACT and dialogue_type is DialogueType.INQUIRY:
         return "retract-forbidden-in-inquiry"
     if kind is MoveKind.OFFER and dialogue_type not in (
@@ -171,8 +171,21 @@ def kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
     return None
 
 
+class _KindRules(dict):
+    """(kind, type) -> kind_rule(kind, type), read per move.  A key
+    outside the table, such as a shift to a proposition built through
+    the API, is answered by kind_rule itself."""
+
+    def __missing__(self, key):
+        return kind_rule(*key)
+
+
+KIND_RULES = _KindRules(((k, t), kind_rule(k, t))
+                        for k in MoveKind for t in DialogueType)
+
+
 def kind_allowed(kind: MoveKind, dialogue_type: DialogueType) -> bool:
-    return kind_rule(kind, dialogue_type) is None
+    return KIND_RULES[kind, dialogue_type] is None
 
 
 def _check_move(phase: Phase, expected: int, operative: DialogueType,
@@ -205,7 +218,7 @@ def _check_move(phase: Phase, expected: int, operative: DialogueType,
             move.turn, "subject-not-a-proposition",
             f"{move.kind.value} subject must be a proposition id")
 
-    rule = kind_rule(move.kind, operative)
+    rule = KIND_RULES[move.kind, operative]
     if rule is not None:
         return ViolationInfo(
             move.turn, rule,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .engine import Move, MoveKind, kind_allowed
+from .engine import KIND_RULES, Move, MoveKind
 from .typology import DialogueType, GOAL_OF_TYPE, MainGoal
 
 SHIFT_WINDOW = 3
@@ -100,15 +100,16 @@ def segment_moves(moves: tuple[Move, ...],
                 start = move.turn
             current, declared, sharp = move.subject, True, True
         elif (isinstance(move.subject, str)
-              and not kind_allowed(move.kind, current)):
+              and KIND_RULES[move.kind, current] is not None):
             span = moves[i:i + SHIFT_WINDOW]
             # Never empty: negotiation allows every move kind.
             candidates = [
                 t for t in _TYPE_PRIORITY
-                if all(kind_allowed(m.kind, t) for m in span
+                if all(KIND_RULES[m.kind, t] is None for m in span
                        if m.kind is not MoveKind.DECLARE_SHIFT)
             ]
-            alone = [t for t in _TYPE_PRIORITY if kind_allowed(move.kind, t)]
+            alone = [t for t in _TYPE_PRIORITY
+                     if KIND_RULES[move.kind, t] is None]
             if move.turn > start:
                 close(move.turn - 1)
                 start = move.turn

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from prooftalk import cli, markup, model
+from prooftalk.analysis import analyze_document
 from prooftalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -297,6 +298,20 @@ class TestAnalyze:
             "d: goal not achieved (dissenting party was not persuaded); "
             "0 shift(s); 1 violation(s), first: turn-out-of-order at turn 1\n")
 
+    def test_json_report_leaves_no_reference_cycles(self, fixtures):
+        # The standard library's indenting encoder left its closures in
+        # reference cycles on every report; the CLI's writer leaves none.
+        doc = markup.parse_document(
+            fixtures["wiles_attempt.arg"].read_text(encoding="utf-8"))
+        report = analyze_document(doc)
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_stance_mismatch_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "mismatch.arg"
         path.write_text(
@@ -320,10 +335,8 @@ class TestReport:
             == "Settlement (without undue inequity)"
 
     def test_later_calls_leave_no_parser_in_reference_cycles(self, tmp_path):
-        # The argparse parser is built once per process.  The indenting
-        # JSON encoder of the standard library still leaves its own
-        # closures in a cycle on every call, so only argparse objects
-        # are counted.
+        # The argparse parser is built once per process, and the JSON
+        # writer builds no cycles either.
         out = str(tmp_path / "tables.json")
         assert main(["report", "--out", out]) == EXIT_OK
         gc.collect()
@@ -332,8 +345,7 @@ class TestReport:
         try:
             assert main(["report", "--out", out]) == EXIT_OK
             gc.collect()
-            cyclic = [type(o).__name__ for o in gc.garbage
-                      if type(o).__module__ == "argparse"]
+            cyclic = [type(o).__name__ for o in gc.garbage]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()

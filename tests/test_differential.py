@@ -1,8 +1,9 @@
 """The linear-time cycle, link and challenge checks, the dialogue
-replay fold, the one-pass shift detector, the regex tokenizer, the
-parser and the derived survey tables agree with the reference versions
-in `oracles`, and the CLI output on the shipped corpus matches the
-recorded golden output byte for byte."""
+replay fold, the legality table, the one-pass shift detector, the regex
+tokenizer, the parser and the derived survey tables agree with the
+reference versions in `oracles`, the CLI's JSON writer agrees with the
+standard library's, and the CLI output on the shipped corpus matches
+the recorded golden output byte for byte."""
 
 import json
 import sys
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from test_fuzz import NEAR_MISSES, documents as fragment_documents
 from test_markup import spanned_tokens
-from prooftalk.cli import fixture_paths, main
+from prooftalk.cli import _json, fixture_paths, main
 from prooftalk.engine import (
+    KIND_RULES,
     DialogueState,
     Move,
     MoveKind,
@@ -140,7 +142,30 @@ def test_kind_rule_matches_reference(kind):
         expected = (None if oracles.kind_allowed(kind, t)
                     else oracles._kind_rule_id(kind, t))
         assert kind_rule(kind, t) == expected
+        assert KIND_RULES[kind, t] == expected
         assert kind_allowed(kind, t) is (expected is None)
+
+
+def test_shift_to_a_proposition_falls_back_to_kind_rule():
+    # Only the API builds such a shift.  The table holds no key for it,
+    # so the segments after it read kind_rule: retract stays legal under
+    # "p", an offer drifts, and the replay stops at the shift.
+    initial = OPENINGS[DialogueType.PERSUASION][0]
+    moves = (Move(1, "alice", MoveKind.ASSERT, "q"),
+             Move(2, "bob", MoveKind.DECLARE_SHIFT, "p"),
+             Move(3, "alice", MoveKind.RETRACT, "q"),
+             Move(4, "bob", MoveKind.OFFER, "p"),
+             Move(5, "alice", MoveKind.THREAT, "p"))
+    segments = segment_moves(moves, DialogueType.PERSUASION)
+    assert segments == [
+        Segment(1, 1, DialogueType.PERSUASION, False, True),
+        Segment(2, 3, "p", True, True),
+        Segment(4, 5, DialogueType.NEGOTIATION, False, False)]
+    result = replay_moves(initial, moves, segments)
+    assert result.violation.rule == "shift-target-not-a-type"
+    assert result.violation.turn == 2
+    assert result.state.history == moves[:1]
+    assert result == oracles.replay_moves(initial, moves, segments)
 
 
 def applied(apply, state, move):
@@ -439,3 +464,33 @@ def test_fixture_output_matches_golden(case, monkeypatch, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     assert {"exit": code, "stdout": out, "stderr": err} == GOLDEN[case]
+
+
+# Strings with the characters the writer must escape as the standard
+# library does: quotes, backslashes, control characters, non-ASCII
+# and lone surrogates.
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\ud800\udfff'),
+    st.characters(blacklist_categories=())))
+json_scalars = st.one_of(
+    json_strings, st.integers(), st.integers(-2**100, 2**100),
+    st.booleans(), st.none())
+json_trees = st.recursive(json_scalars, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.dictionaries(json_strings, children)), max_leaves=40)
+
+
+@settings(max_examples=300)
+@example({})
+@example([[], (), {"": {}}])
+@given(json_trees)
+def test_json_writer_matches_stdlib(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object()])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+    with pytest.raises(TypeError):
+        _json({"nested": [value]})
