@@ -156,10 +156,10 @@ def new_dialogue(dialogue_type: DialogueType, crucial: str,
     )
 
 
-def kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
+def _kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
     """The rule a move of the kind breaks under the dialogue type, or None
     when the type allows the kind: the state-independent part of the
-    legality matrix, written once here and read through KIND_RULES."""
+    legality matrix, from which KIND_RULES is built."""
     if kind is MoveKind.RETRACT and dialogue_type is DialogueType.INQUIRY:
         return "retract-forbidden-in-inquiry"
     if kind is MoveKind.OFFER and dialogue_type not in (
@@ -171,21 +171,8 @@ def kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
     return None
 
 
-class _KindRules(dict):
-    """(kind, type) -> kind_rule(kind, type), read per move.  A key
-    outside the table, such as a shift to a proposition built through
-    the API, is answered by kind_rule itself."""
-
-    def __missing__(self, key):
-        return kind_rule(*key)
-
-
-KIND_RULES = _KindRules(((k, t), kind_rule(k, t))
-                        for k in MoveKind for t in DialogueType)
-
-
-def kind_allowed(kind: MoveKind, dialogue_type: DialogueType) -> bool:
-    return KIND_RULES[kind, dialogue_type] is None
+# One key for every (kind, type) pair: read by the replay and segmentation.
+KIND_RULES = {(k, t): _kind_rule(k, t) for k in MoveKind for t in DialogueType}
 
 
 def _check_move(phase: Phase, expected: int, operative: DialogueType,

@@ -76,7 +76,8 @@ def segment_moves(moves: tuple[Move, ...],
                   initial_type: DialogueType) -> list[Segment]:
     """Partition a move list into typed segments.
 
-    Boundaries arise from declare_shift moves and from undeclared drifts:
+    Boundaries arise from shifts declared to a dialogue type (a
+    declare_shift to anything else opens none) and from undeclared drifts:
     a move whose kind is illegal under the current type opens a new
     segment whose type is the highest-priority one under which the next
     `SHIFT_WINDOW` moves are all kind-legal.
@@ -94,7 +95,8 @@ def segment_moves(moves: tuple[Move, ...],
         segments.append(Segment(start, end_turn, current, declared, sharp))
 
     for i, move in enumerate(moves):
-        if move.kind is MoveKind.DECLARE_SHIFT:
+        if (move.kind is MoveKind.DECLARE_SHIFT
+                and isinstance(move.subject, DialogueType)):
             if move.turn > start:
                 close(move.turn - 1)
                 start = move.turn
@@ -103,11 +105,8 @@ def segment_moves(moves: tuple[Move, ...],
               and KIND_RULES[move.kind, current] is not None):
             span = moves[i:i + SHIFT_WINDOW]
             # Never empty: negotiation allows every move kind.
-            candidates = [
-                t for t in _TYPE_PRIORITY
-                if all(KIND_RULES[m.kind, t] is None for m in span
-                       if m.kind is not MoveKind.DECLARE_SHIFT)
-            ]
+            candidates = [t for t in _TYPE_PRIORITY
+                          if all(KIND_RULES[m.kind, t] is None for m in span)]
             alone = [t for t in _TYPE_PRIORITY
                      if KIND_RULES[move.kind, t] is None]
             if move.turn > start:

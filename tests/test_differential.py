@@ -5,6 +5,7 @@ reference versions in `oracles`, the CLI's JSON writer agrees with the
 standard library's, and the CLI output on the shipped corpus matches
 the recorded golden output byte for byte."""
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from test_fuzz import NEAR_MISSES, documents as fragment_documents
 from test_markup import spanned_tokens
+from prooftalk.analysis import analyze_document
 from prooftalk.cli import _json, fixture_paths, main
 from prooftalk.engine import (
     KIND_RULES,
@@ -27,12 +29,17 @@ from prooftalk.engine import (
     StanceMismatch,
     _unanswered_challenge,
     apply_move,
-    kind_allowed,
-    kind_rule,
     new_dialogue,
     replay_moves,
 )
-from prooftalk.markup import MarkupError, _line_starts, _span, parse_document
+from prooftalk.markup import (
+    DialogueDecl,
+    Document,
+    MarkupError,
+    _line_starts,
+    _span,
+    parse_document,
+)
 from prooftalk.model import (
     ArgumentGraph,
     CycleError,
@@ -138,34 +145,39 @@ def test_unanswered_challenge_matches_reference(history):
 
 @pytest.mark.parametrize("kind", MoveKind)
 def test_kind_rule_matches_reference(kind):
+    # A plain dict with a key for every pair, and no fallback for others.
+    assert type(KIND_RULES) is dict
+    assert set(KIND_RULES) == set(itertools.product(MoveKind, DialogueType))
     for t in DialogueType:
         expected = (None if oracles.kind_allowed(kind, t)
                     else oracles._kind_rule_id(kind, t))
-        assert kind_rule(kind, t) == expected
         assert KIND_RULES[kind, t] == expected
-        assert kind_allowed(kind, t) is (expected is None)
 
 
-def test_shift_to_a_proposition_falls_back_to_kind_rule():
-    # Only the API builds such a shift.  The table holds no key for it,
-    # so the segments after it read kind_rule: retract stays legal under
-    # "p", an offer drifts, and the replay stops at the shift.
+# A shift to a proposition, which only the API builds.
+SHIFT_TO_P = (Move(1, "alice", MoveKind.ASSERT, "q"),
+              Move(2, "bob", MoveKind.DECLARE_SHIFT, "p"),
+              Move(3, "alice", MoveKind.RETRACT, "q"),
+              Move(4, "bob", MoveKind.OFFER, "p"),
+              Move(5, "alice", MoveKind.THREAT, "p"))
+
+
+def test_shift_to_a_proposition_opens_no_segment():
+    # Retract stays legal under persuasion, an offer drifts, and the
+    # replay stops at the shift.
     initial = OPENINGS[DialogueType.PERSUASION][0]
-    moves = (Move(1, "alice", MoveKind.ASSERT, "q"),
-             Move(2, "bob", MoveKind.DECLARE_SHIFT, "p"),
-             Move(3, "alice", MoveKind.RETRACT, "q"),
-             Move(4, "bob", MoveKind.OFFER, "p"),
-             Move(5, "alice", MoveKind.THREAT, "p"))
+    moves = SHIFT_TO_P
     segments = segment_moves(moves, DialogueType.PERSUASION)
     assert segments == [
-        Segment(1, 1, DialogueType.PERSUASION, False, True),
-        Segment(2, 3, "p", True, True),
+        Segment(1, 3, DialogueType.PERSUASION, False, True),
         Segment(4, 5, DialogueType.NEGOTIATION, False, False)]
     result = replay_moves(initial, moves, segments)
     assert result.violation.rule == "shift-target-not-a-type"
     assert result.violation.turn == 2
     assert result.state.history == moves[:1]
     assert result == oracles.replay_moves(initial, moves, segments)
+    assert analyzed(initial, moves)["violations"] == [
+        {"turn": 2, "rule": "shift-target-not-a-type"}]
 
 
 def applied(apply, state, move):
@@ -284,6 +296,28 @@ def test_replay_moves_matches_reference(case):
 @given(transcripts())
 def test_apply_move_matches_reference(case):
     assert_apply_move_matches_reference(*case)
+
+
+def analyzed(initial, moves):
+    """The `analyze` entry of the transcript from the opening state."""
+    decl = DialogueDecl("d", initial.declared_type, initial.participants,
+                        initial.crucial_proposition, initial.settlement,
+                        moves)
+    entry, = analyze_document(Document(dialogues={"d": decl}))["dialogues"]
+    return entry
+
+
+@settings(max_examples=200)
+@example((OPENINGS[DialogueType.PERSUASION][0], SHIFT_TO_P))
+@given(transcripts())
+def test_analysis_names_only_dialogue_types(case):
+    # Shifts to a proposition and moves about a type come up often; the
+    # report still names a dialogue type as every segment's and every
+    # shift's type.
+    entry = analyzed(*case)
+    types = {t.value for t in DialogueType}
+    assert {s["type"] for s in entry["segments"]} <= types
+    assert {s[end] for s in entry["shifts"] for end in ("from", "to")} <= types
 
 
 

@@ -5,8 +5,9 @@ pipeline rather than the layers beneath it), and the CLI is the one
 module that writes JSON.  The move check returns the rule a move breaks,
 so `apply_move` is the one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
-takes, and plain records are named tuples, with a dataclass kept only
-where a record checks or derives a field or the parser mutates it."""
+takes, plain records are named tuples, with a dataclass kept only
+where a record checks or derives a field or the parser mutates it, and
+every public module-level name has a caller."""
 
 import argparse
 import ast
@@ -150,3 +151,52 @@ def test_dataclasses_are_only_the_checked_or_mutated_records():
     assert decorated_dataclasses() == {
         "Qualifier", "InitialSituation", "DialogueState",
         "ArgumentGraph", "Document"}
+
+
+# Public names kept without a caller in the package or the acceptance
+# tests, each with the reason it stays.
+UNCALLED_PUBLIC = {
+    "markup.tokenize": "read by the lexer tests and perfbench's tracer",
+    "model.add_link": "the public graph-building API; the argument_graphs "
+                      "benchmark rebuilds its graphs with it",
+    "model.compare_qualifiers": "waits for the qualifier-strength rule",
+}
+
+
+def defined_names(stmt):
+    """The public names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        found = {stmt.name}
+    elif isinstance(stmt, ast.Assign):
+        found = {n.id for t in stmt.targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)}
+    elif isinstance(stmt, ast.AnnAssign):
+        found = {stmt.target.id}
+    else:
+        found = set()
+    return {name for name in found if not name.startswith("_")}
+
+
+def read_names(stmt):
+    """Every name and attribute the statement reads."""
+    return ({n.id for n in ast.walk(stmt)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
+
+
+def test_public_names_have_a_caller():
+    defined, read = set(), set()
+    for path in MODULES:
+        for stmt in tree_of(path.name).body:
+            names = defined_names(stmt)
+            defined |= {(path.stem, name) for name in names}
+            read |= read_names(stmt) - names
+    acceptance = ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    read |= {alias.name for node in ast.walk(acceptance)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("prooftalk")
+             for alias in node.names}
+    uncalled = {f"{module}.{name}" for module, name in defined
+                if name not in read}
+    assert uncalled == set(UNCALLED_PUBLIC)
