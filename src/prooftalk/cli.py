@@ -29,7 +29,7 @@ def fixture_paths() -> list[Path]:
 
 def _load(path: str, out) -> markup.Document | int:
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: error: {exc}", file=out)
         return EXIT_USAGE

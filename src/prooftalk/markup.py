@@ -96,16 +96,19 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 
-# One-line statements read whole, each with one match of its place's pattern
-# (the last group names the form), take only text that lexes the same: ASCII
-# identifier starts (`_Parser.statement` turns keywords away), blanks between
-# fields, strings without escapes, whole table words (not `custom`: a label
-# follows), and turns of at most nine digits, which `int` always reads.
+# One-line statements read whole with one match of a pattern take only text
+# that lexes the same: ASCII identifier starts (keywords are turned away
+# after the match), blanks between fields, strings without escapes, whole
+# table words (not `custom`: a label follows), and turns of at most nine
+# digits, which `int` always reads.  A block head is one match of
+# `_BLOCK_HEAD` and an argument entry one of `_ARGUMENT_LINE` (the last group
+# names the form).  A run of `move` lines, or of top-level `prop` lines, is
+# a loop of matches of `_MOVE_LINE` or `_PROP_LINE`, one line each, whose
+# words are looked up in their tables after the match.
 _ID = r"[A-Za-z_]\w*"
 _NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
-_TOP_LINE = re.compile(rf"""[ \t\r\n]* (?: (?P<prop> prop {_NAMED} )
-  | (?P<head> (?P<block>argument|dialogue|proof) [ ]*
-        (?P<name>"[^"\\]*") [ ]* \{{ ) )""", re.VERBOSE)
+_BLOCK_HEAD = re.compile(
+    r'[ \t\r\n]*(?P<block>argument|dialogue|proof)[ ]*(?P<name>"[^"\\]*")[ ]*\{')
 _ARGUMENT_LINE = re.compile(rf"""[ \t\r\n]* (?:
     (?P<named> (?P<word>data|warrant|backing|rebuttal|claim) {_NAMED} )
   | (?P<qualifier> qualifier [ ]*:[ ]* (?P<degree>{"|".join(
@@ -113,12 +116,10 @@ _ARGUMENT_LINE = re.compile(rf"""[ \t\r\n]* (?:
   | (?P<uses> uses [ ]+ (?P<slot>{_ID}) [ ]* <- [ ]* argument [ ]*
         "(?P<source>[^"\\]*)" )
   | (?P<close> \}} ) )""", re.VERBOSE)
-_DIALOGUE_LINE = re.compile(rf"""[ \t\r\n]* (?:
-    (?P<move> move [ ]+ (?P<turn>[0-9]{{1,9}}) [ ]+ (?P<speaker>{_ID}) [ ]+ (?:
-        declare_shift [ ]+ (?P<type>{"|".join(TYPE_WORDS)})\b
-      | (?P<kind>{"|".join(w for w in MOVE_WORDS if w != "declare_shift")})
-        [ ]+ (?P<subject>{_ID}) ) )
-  | (?P<close> \}} ) )""", re.VERBOSE)
+# Groups: id and text; turn, speaker, kind word and subject word.
+_PROP_LINE = re.compile(rf'[ \t\r\n]*prop{_NAMED}', re.VERBOSE)
+_MOVE_LINE = re.compile(
+    rf"[ \t\r\n]*move[ ]+([0-9]{{1,9}})[ ]+({_ID})[ ]+({_ID})[ ]+({_ID})")
 
 
 def _line_starts(source: str) -> list[int]:
@@ -213,7 +214,11 @@ class Document:
 class _Parser:
     """Lexes on demand: `end` is the offset past the last token or
     statement read, and `tok` the lookahead token, lexed when `peek` needs
-    it.  A token's `tok[0]` is its kind and `tok[1]` its value."""
+    it.  A token's `tok[0]` is its kind and `tok[1]` its value.  Where the
+    token path meets a `move` or top-level `prop` keyword, `read_moves` or
+    `read_props` reads that line and the rest of its run whole, up to the
+    first line it cannot take: the token path reads that line, and
+    reports any error in it."""
 
     def __init__(self, source: str):
         self.source = source
@@ -318,7 +323,7 @@ class _Parser:
         """`keyword "name" {` from `head` or token by token: the keyword and name
         tokens, or None after skipping a bad block; a `declared` name is reported."""
         if head is not None:
-            kw = ("keyword", what, head.start("head"), len(what))
+            kw = ("keyword", what, head.start("block"), len(what))
             name = ("string", head["name"][1:-1], head.start("name"),
                     len(head["name"]))
         else:
@@ -331,13 +336,13 @@ class _Parser:
             self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
-    def entries(self, expected: str, words: frozenset[str], pattern: re.Pattern,
-                idents: tuple[str, ...]
+    def entries(self, expected: str, words: frozenset[str],
+                pattern: Optional[re.Pattern] = None, idents: tuple[str, ...] = ()
                 ) -> Iterator[tuple[str, Optional[_Lexeme], Optional[re.Match]]]:
         """A block body's entries up to its `}`: (form, None, match) for each
         statement `pattern` reads whole, else (keyword, token, None)."""
         while True:
-            if line := self.statement(pattern, idents):
+            if pattern is not None and (line := self.statement(pattern, idents)):
                 if (form := line.lastgroup) == "close":
                     return
                 yield form, None, line
@@ -396,11 +401,8 @@ class _Parser:
             self.next()
             self.expect("int", "version number")
         while True:
-            if line := self.statement(_TOP_LINE, ("id",)):
-                if line.lastgroup == "prop":
-                    self.named_prop(line)
-                else:
-                    getattr(self, "parse_" + line["block"])(line)
+            if line := self.statement(_BLOCK_HEAD, ()):
+                getattr(self, "parse_" + line["block"])(line)
                 continue
             kind, value, _, _ = self.peek()
             if kind == "eof":
@@ -415,9 +417,28 @@ class _Parser:
         return self.doc
 
     def parse_prop(self) -> None:
-        self.next()  # prop
-        if self.named_prop() is None:
+        if not self.read_props(self.next()[2]) and self.named_prop() is None:
             self.skip_block()
+
+    def read_props(self, pos: int) -> bool:
+        """Declare the run of `prop ID: "TEXT"` lines from `pos`, the offset
+        of the `prop` just lexed, up to the first line `_PROP_LINE` or a
+        keyword id turns away; whether the run held a line."""
+        source, props, match, start = (
+            self.source, self.doc.graph.propositions, _PROP_LINE.match, pos)
+        while line := match(source, pos):
+            pid, text = line.groups()
+            if pid in KEYWORDS:
+                break
+            if pid in props:
+                self.declare(("ident", pid, line.start(1), len(pid)), text)
+            else:
+                props[pid] = Proposition(pid, text)
+            pos = line.end()
+        if pos == start:
+            return False
+        self.end = pos
+        return True
 
     # --- argument blocks ---------------------------------------------
 
@@ -491,20 +512,10 @@ class _Parser:
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
         moves: list[Move] = []
-        props = self.doc.graph.propositions
 
-        for word, entry, line in self.entries(
-                "dialogue entry keyword", _DIALOGUE_ENTRIES, _DIALOGUE_LINE,
-                ("speaker", "subject")):
-            if line:  # move
-                _, turn, speaker, shift, kind, subject, _ = line.groups()
-                if shift:
-                    kind, subject = "declare_shift", TYPE_WORDS[shift]
-                elif subject not in props:  # check it later
-                    self.pending_refs.append(
-                        ("ident", subject, line.start("subject"), len(subject)))
-                moves.append(Move(int(turn), speaker, MOVE_WORDS[kind], subject))
-            elif word == "type":
+        for word, entry, _ in self.entries(
+                "dialogue entry keyword", _DIALOGUE_ENTRIES):
+            if word == "type":
                 if self.expect("colon") and (t := self.lookup(
                         TYPE_WORDS, "dialogue type name")):
                     self.put(single, word, entry, t)
@@ -536,7 +547,7 @@ class _Parser:
                 if ident:
                     self.put(single, word, entry, ident[1])
                     self.pending_refs.append(ident)
-            else:  # move
+            elif not self.read_moves(entry[2], moves):  # a move, token by token
                 turn = self.expect("int", "turn number")
                 speaker = self.expect("ident", "speaker id")
                 kind = self.lookup(MOVE_WORDS, "move kind")
@@ -578,6 +589,33 @@ class _Parser:
         self.doc.dialogues[name] = DialogueDecl(
             name, single["type"], participants, crucial,
             single.get("settlement"), tuple(moves))
+
+    def read_moves(self, pos: int, moves: list[Move]) -> bool:
+        """Append the run of `move` lines from `pos`, the offset of the `move`
+        just lexed, up to the first line `_MOVE_LINE`, the word tables or a
+        keyword speaker or subject turn away; whether the run held a line."""
+        source, props, refs, start = (
+            self.source, self.doc.graph.propositions, self.pending_refs, pos)
+        match, kinds, types, keywords, shift = (
+            _MOVE_LINE.match, MOVE_WORDS.get, TYPE_WORDS.get, KEYWORDS,
+            MoveKind.DECLARE_SHIFT)
+        while line := match(source, pos):
+            turn, speaker, word, subject = line.groups()
+            if (kind := kinds(word)) is None or speaker in keywords:
+                break
+            if kind is shift:
+                if (subject := types(subject)) is None:
+                    break
+            elif subject in keywords:
+                break
+            elif subject not in props:  # check it later
+                refs.append(("ident", subject, line.start(4), len(subject)))
+            moves.append(Move(int(turn), speaker, kind, subject))
+            pos = line.end()
+        if pos == start:
+            return False
+        self.end = pos
+        return True
 
     # --- proof blocks ------------------------------------------------
 

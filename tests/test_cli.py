@@ -173,6 +173,26 @@ def test_validate_keeps_going_past_a_non_utf8_file(
     assert f"{invalid_file}:1:1: error: " in captured.out
 
 
+@pytest.mark.parametrize("source", [
+    *(p.read_text(encoding="utf-8") for p in fixture_paths()),
+    'argument "a" { data d: "x" claim c: "y" }\n',  # no warrant
+    'argument "a" { data d "missing colon" }\n'],
+    ids=[p.stem for p in fixture_paths()] + ["invalid", "broken"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_byte_order_mark_is_ignored(
+        source, command, tmp_path, monkeypatch, capsys):
+    # Editors such as Notepad start a UTF-8 file with EF BB BF.  The same
+    # relative name in two directories keeps the outputs comparable.
+    outputs = []
+    for folder, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "doc.arg").write_bytes(bom + source.encode())
+        monkeypatch.chdir(tmp_path / folder)
+        code = main([command, "doc.arg"])
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command, fixture", [
     ("report", None), ("diagram", "harry.arg"),
     ("classify", "wiles_attempt.arg"), ("analyze", "wiles_attempt.arg")])

@@ -56,6 +56,7 @@ from prooftalk import typology
 from prooftalk.typology import DialogueType, Stance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import dialogues  # noqa: E402  (the long_dialogues benchmark's generator)
 import graphs  # noqa: E402  (the argument_graphs benchmark's generator)
 
 N_ARGS = 6
@@ -469,12 +470,48 @@ def test_parse_document_matches_reference_on_benchmark_graphs(n_args, shape):
     assert_parse_matches_reference(text)
 
 
+@pytest.mark.parametrize("plant", dialogues.PLANTS)
+def test_parse_document_matches_reference_on_benchmark_dialogues(plant):
+    # The documents the long_dialogues benchmark times: a long run of
+    # `prop` lines, then two dialogues of long `move` runs.
+    text, _ = dialogues.make_document(f"differential:300:{plant}", 300, plant)
+    assert_parse_matches_reference(text)
+
+
 @pytest.mark.parametrize("line", NEAR_MISSES)
 @pytest.mark.parametrize("block", ["", 'argument "a" {', 'dialogue "d" {'])
 def test_near_misses_match_reference(block, line):
     # Where a statement is read whole: at the top level, and first in an
     # argument or a dialogue block.
     source = f'prop p: "P"\n{block}\n{line}\n' + ("}\n" if block else "")
+    assert_parse_matches_reference(source)
+
+
+# Lines that end a run of `move` or `prop` lines, besides the near misses.
+RUN_BREAKS = (
+    "move 3 x assert later",  # declared after the dialogue
+    "move 3 x assert nowhere",  # never declared: reported at its span
+    "move 3 x declare_shift fermat", "move 3 x conjecture p", "# a comment",
+    'prop p: "other text"',
+)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("run", ["move", "prop"])
+@pytest.mark.parametrize("line", NEAR_MISSES + RUN_BREAKS)
+def test_near_misses_in_a_run_match_reference(line, run, newline):
+    # A run is read whole up to the first line it cannot take; the token
+    # path reads that line, and the lines after it start a new run.
+    if run == "move":
+        lines = ['prop p: "P"', 'dialogue "d" {', "  type: persuasion",
+                 "  participants: x, y", "  stance x p: true",
+                 "  stance y p: false", "  move 1 x assert p",
+                 "  move 2 y question p", f"  {line}", "  move 3 x assert p",
+                 "  move 4 y declare_shift deliberation", "}"]
+    else:
+        lines = ['prop p: "P"', 'prop q: "Q"', line, 'prop r: "R"',
+                 'prop s: "S"']
+    source = newline.join(lines + ['prop later: "L"', ""])
     assert_parse_matches_reference(source)
 
 

@@ -6,11 +6,13 @@ module that writes JSON.  The move check returns the rule a move breaks,
 so `apply_move` is the one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
 takes, plain records are named tuples, with a dataclass kept only
-where a record checks or derives a field or the parser mutates it, and
-every public module-level name has a caller."""
+where a record checks or derives a field or the parser mutates it,
+every public module-level name has a caller, and no compiled pattern
+needs a newer Python than the one pyproject.toml declares."""
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -200,3 +202,20 @@ def test_public_names_have_a_caller():
     uncalled = {f"{module}.{name}" for module, name in defined
                 if name not in read}
     assert uncalled == set(UNCALLED_PUBLIC)
+
+
+# Possessive quantifiers and atomic groups are new in Python 3.11's `re`;
+# pyproject.toml declares Python 3.10.
+_PYTHON_3_11_SYNTAX = re.compile(r"[*+?}]\+|\(\?>")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_patterns_compile_on_python_3_10(path):
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    module = importlib.import_module(f"prooftalk.{path.stem}")
+    for name, value in vars(module).items():
+        if isinstance(value, re.Pattern):
+            text = re.sub(r"\\.", "_", value.pattern)  # escaped characters
+            if value.flags & re.VERBOSE:
+                text = re.sub(r"\s", "", text)
+            assert not _PYTHON_3_11_SYNTAX.search(text), name

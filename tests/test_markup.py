@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,9 @@ from prooftalk.model import (
     ToulminArgument,
 )
 from prooftalk.typology import DialogueType, Stance
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import dialogues  # noqa: E402  (the long_dialogues benchmark's generator)
 
 
 def spanned_tokens(source):
@@ -427,6 +432,19 @@ class TestStatements:
         assert doc.graph.arguments["a99"].qualifier == Qualifier(
             QualifierKind.PROBABLY)
         assert lexes <= (100 * 6 - 1) // 10
+
+    def test_parse_holds_little_beyond_the_document(self):
+        # Runs are read one line per match: a pattern that repeats over a
+        # whole run makes `re` keep state for every line it has passed.
+        text, _ = dialogues.make_document("memory:8000:clean", 8000, "clean")
+        tracemalloc.start()
+        try:
+            doc = parse_document(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(d.moves) for d in doc.dialogues.values()) >= 8000
+        assert peak <= 1.05 * retained
 
 
 class TestSerialize:
