@@ -101,9 +101,10 @@ _ESCAPE = re.compile(r'\\(["\\])')
 # after the match), blanks between fields, strings without escapes, whole
 # table words (not `custom`: a label follows), and turns of at most nine
 # digits, which `int` always reads.  A block head is one match of
-# `_BLOCK_HEAD` and an argument entry one of `_ARGUMENT_LINE` (the last group
-# names the form).  A run of `move` lines, or of top-level `prop` lines, is
-# a loop of matches of `_MOVE_LINE` or `_PROP_LINE`, one line each, whose
+# `_BLOCK_HEAD`.  A run of argument entries is a loop of matches of
+# `_ARGUMENT_LINE`, one line each (the last group names the form; groups 2-4
+# of a named slot are word, id and text), and so is a run of `move` lines,
+# or of top-level `prop` lines, with `_MOVE_LINE` or `_PROP_LINE`, whose
 # words are looked up in their tables after the match.
 _ID = r"[A-Za-z_]\w*"
 _NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
@@ -216,7 +217,9 @@ class _Parser:
     statement read, and `tok` the lookahead token, lexed when `peek` needs
     it.  A token's `tok[0]` is its kind and `tok[1]` its value.  Where the
     token path meets a `move` or top-level `prop` keyword, `read_moves` or
-    `read_props` reads that line and the rest of its run whole, up to the
+    `read_props` reads that line and the rest of its run whole, and
+    `read_slots` reads the entries of an argument block from its head, or
+    from the end of the last entry read token by token.  A run ends at the
     first line it cannot take: the token path reads that line, and
     reports any error in it."""
 
@@ -307,17 +310,6 @@ class _Parser:
                 if depth <= 0:
                     return
 
-    def statement(self, pattern: re.Pattern, idents: tuple[str, ...]
-                  ) -> Optional[re.Match]:
-        """The statement `pattern` reads whole, no `idents` a keyword, or None."""
-        if not (line := self.tok is None and pattern.match(self.source, self.end)):
-            return None
-        for ident in idents:
-            if line[ident] in KEYWORDS:
-                return None
-        self.end = line.end()
-        return line
-
     def open_block(self, what: str, declared: dict, head: Optional[re.Match]
                    ) -> Optional[tuple[_Lexeme, _Lexeme]]:
         """`keyword "name" {` from `head` or token by token: the keyword and name
@@ -336,17 +328,10 @@ class _Parser:
             self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
-    def entries(self, expected: str, words: frozenset[str],
-                pattern: Optional[re.Pattern] = None, idents: tuple[str, ...] = ()
-                ) -> Iterator[tuple[str, Optional[_Lexeme], Optional[re.Match]]]:
-        """A block body's entries up to its `}`: (form, None, match) for each
-        statement `pattern` reads whole, else (keyword, token, None)."""
+    def entries(self, expected: str, words: frozenset[str]
+                ) -> Iterator[tuple[str, _Lexeme]]:
+        """A block body's entries up to its `}`, each as (keyword, token)."""
         while True:
-            if pattern is not None and (line := self.statement(pattern, idents)):
-                if (form := line.lastgroup) == "close":
-                    return
-                yield form, None, line
-                continue
             tok = self.next()
             kind, value = tok[0], tok[1]
             if kind == "rbrace":
@@ -355,7 +340,7 @@ class _Parser:
                 self.error("'}'", tok)
                 return
             if kind == "keyword" and value in words:
-                yield value, tok, None
+                yield value, tok
             else:
                 self.error(expected, tok)
 
@@ -382,12 +367,8 @@ class _Parser:
                        "duplicate id with conflicting text")
         return pid
 
-    def named_prop(self, line: Optional[re.Match] = None) -> Optional[str]:
-        """Declare `id: "text"` (from `line`, or token by token): its id, or None."""
-        if line is not None:
-            pid = line["id"]
-            return self.declare(("ident", pid, line.start("id"), len(pid)),
-                                line["text"])
+    def named_prop(self) -> Optional[str]:
+        """Declare `id: "text"` token by token: its id, or None."""
         ident = self.expect("ident", "proposition id")
         if ident is None or not self.expect("colon"):
             return None
@@ -401,7 +382,9 @@ class _Parser:
             self.next()
             self.expect("int", "version number")
         while True:
-            if line := self.statement(_BLOCK_HEAD, ()):
+            if self.tok is None and (
+                    line := _BLOCK_HEAD.match(self.source, self.end)):
+                self.end = line.end()
                 getattr(self, "parse_" + line["block"])(line)
                 continue
             kind, value, _, _ = self.peek()
@@ -449,25 +432,20 @@ class _Parser:
         kw, (_, name, _, _) = block
         slots: dict = {"data": [], "rebuttal": [], "warrant": None,
                        "backing": None, "claim": None, "qualifier": None}
-        for word, entry, line in self.entries(
-                "argument slot keyword", _ARGUMENT_SLOTS, _ARGUMENT_LINE,
-                ("id", "slot")):
-            if word == "named":  # a named slot read whole
-                word, pid = line["word"], self.named_prop(line)
-                at = line.start("named")
-                self.put(slots, word, ("keyword", word, at, len(word)), pid)
+        while not self.read_slots(slots, name):  # an entry, token by token
+            entry = self.next()
+            kind, word = entry[0], entry[1]
+            if kind == "rbrace":
+                break
+            if kind == "eof":
+                self.error("'}'", entry)
+                break
+            if kind != "keyword" or word not in _ARGUMENT_SLOTS:
+                self.error("argument slot keyword", entry)
             elif word == "qualifier":
-                if line:
-                    self.put(slots, word, ("keyword", word, line.start(word), 9),
-                             Qualifier(QUALIFIER_WORDS[line["degree"]]))
-                elif self.expect("colon") and (q := self.parse_qualifier()):
+                if self.expect("colon") and (q := self.parse_qualifier()):
                     self.put(slots, word, entry, q)
             elif word == "uses":
-                if line:
-                    slot = line["slot"]
-                    self.uses.append((("ident", slot, line.start("slot"), len(slot)),
-                                      line["source"], name))
-                    continue
                 ident = self.expect("ident", "slot proposition id")
                 if ident and self.expect("arrow") and self.expect_kw("argument"):
                     src = self.expect("string", "argument name")
@@ -482,6 +460,49 @@ class _Parser:
         self.counted = kw[2]
         self.doc.argument_spans[name] = SourceSpan(
             self.lines + 1, kw[2] - self.source.rfind("\n", 0, kw[2]), *kw[2:])
+
+    def read_slots(self, slots: dict, name: str) -> bool:
+        """Read the run of argument entries at `end` into `slots` and `uses`,
+        up to the first line `_ARGUMENT_LINE` or a keyword id turns away;
+        whether the run ended with the block's `}`."""
+        if self.tok is not None:
+            return False
+        source, props, match, keywords, pos = (
+            self.source, self.doc.graph.propositions, _ARGUMENT_LINE.match,
+            KEYWORDS, self.end)
+        while line := match(source, pos):
+            form = line.lastgroup
+            if form == "named":
+                word, pid, text = line.group(2, 3, 4)
+                if pid in keywords:
+                    break
+                if (prop := props.get(pid)) is None:
+                    props[pid] = Proposition(pid, text)
+                elif prop.text != text:
+                    self.declare(("ident", pid, line.start("id"), len(pid)), text)
+                value = pid
+            elif form == "qualifier":
+                word, value = form, Qualifier(QUALIFIER_WORDS[line["degree"]])
+            elif form == "uses":
+                if (slot := line["slot"]) in keywords:
+                    break
+                self.uses.append((("ident", slot, line.start("slot"), len(slot)),
+                                  line["source"], name))
+                pos = line.end()
+                continue
+            else:  # the block's `}`
+                self.end = line.end()
+                return True
+            if (have := slots[word]) is None:
+                slots[word] = value
+            elif isinstance(have, list):
+                have.append(value)
+            else:  # a repeat, reported at its keyword
+                self.put(slots, word, ("keyword", word, line.start(form), len(word)),
+                         value)
+            pos = line.end()
+        self.end = pos
+        return False
 
     def parse_qualifier(self) -> Optional[Qualifier]:
         kind = self.lookup(QUALIFIER_WORDS, "qualifier keyword")
@@ -513,7 +534,7 @@ class _Parser:
         crucial: Optional[str] = None
         moves: list[Move] = []
 
-        for word, entry, _ in self.entries(
+        for word, entry in self.entries(
                 "dialogue entry keyword", _DIALOGUE_ENTRIES):
             if word == "type":
                 if self.expect("colon") and (t := self.lookup(

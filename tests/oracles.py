@@ -11,7 +11,7 @@ tests generate.  The reference tokenizer builds a `Token` with a full
 `SourceSpan` for every token, as the library's did before it returned
 offset tuples.  The survey tables that `typology` now derives from
 Tables 1 and 3 are kept here as they were written out by hand, and the
-legality matrix that `engine.kind_rule` now writes once is kept as the
+legality matrix that `engine.KIND_RULES` now holds once is kept as the
 two functions that each branched on the move kind.  The shift detector
 that rescanned the later segments at each shift, and took the declared
 type as a turn-0 segment spliced in front, is kept as it was.

@@ -462,7 +462,7 @@ def test_parse_document_matches_reference_on_fixtures(path):
 
 
 @pytest.mark.parametrize("shape", graphs.SHAPES)
-@pytest.mark.parametrize("n_args", [20, 60])
+@pytest.mark.parametrize("n_args", [20, 60, 200])
 def test_parse_document_matches_reference_on_benchmark_graphs(n_args, shape):
     # The shapes the argument_graphs benchmark times, read almost
     # entirely as whole statements.
@@ -494,11 +494,19 @@ RUN_BREAKS = (
     "move 3 x declare_shift fermat", "move 3 x conjecture p", "# a comment",
     'prop p: "other text"',
 )
+# Lines that end or test a run of argument entries.
+ARGUMENT_BREAKS = (
+    'data claim: "x"',  # a keyword id
+    'data d1: "other text"',  # conflicts with an id earlier in the run
+    'warrant v: "V"',  # a repeated single-valued slot
+    'data q:\n"Q"',  # one slot over two lines
+    'uses data <- argument "b"',
+)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("run", ["move", "prop"])
-@pytest.mark.parametrize("line", NEAR_MISSES + RUN_BREAKS)
+@pytest.mark.parametrize("run", ["move", "prop", "argument"])
+@pytest.mark.parametrize("line", NEAR_MISSES + RUN_BREAKS + ARGUMENT_BREAKS)
 def test_near_misses_in_a_run_match_reference(line, run, newline):
     # A run is read whole up to the first line it cannot take; the token
     # path reads that line, and the lines after it start a new run.
@@ -508,11 +516,18 @@ def test_near_misses_in_a_run_match_reference(line, run, newline):
                  "  stance y p: false", "  move 1 x assert p",
                  "  move 2 y question p", f"  {line}", "  move 3 x assert p",
                  "  move 4 y declare_shift deliberation", "}"]
-    else:
+    elif run == "prop":
         lines = ['prop p: "P"', 'prop q: "Q"', line, 'prop r: "R"',
                  'prop s: "S"']
-    source = newline.join(lines + ['prop later: "L"', ""])
-    assert_parse_matches_reference(source)
+    else:
+        lines = ['prop p: "P"', 'argument "b" {', '  data x: "X"',
+                 '  claim q: "Q"', "}", 'argument "a" {', '  data d1: "D1"',
+                 '  warrant w: "W"', '  data d2: "D2"', f"  {line}",
+                 '  data q: "Q"', '  uses q <- argument "b"',
+                 '  qualifier: probably', '  rebuttal r: "R"',
+                 '  claim c: "C"', "}"]
+    source = "\n".join(lines + ['prop later: "L"', ""])
+    assert_parse_matches_reference(source.replace("\n", newline))
 
 
 @pytest.mark.parametrize("name", [

@@ -351,6 +351,30 @@ class TestParseDocument:
         assert (err.expected, err.found, err.hint) == (
             f"one '{word}' entry", word, "repeated entry")
 
+    @pytest.mark.parametrize("entry", [
+        'claim c: "C"', 'warrant w: "W"', 'backing b: "B"', 'qualifier: probably'])
+    def test_repeated_slot_after_a_long_run(self, entry):
+        # The repeat is read in the same run as the 50 data lines before it.
+        data = "".join(f'  data d{i}: "D{i}"\n' for i in range(50))
+        src = f'argument "a" {{\n  {entry}\n{data}  {entry}\n}}\n'
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        word = entry.split()[0].rstrip(":")
+        assert err.span == _span(_line_starts(src), src.rindex(entry), len(word))
+        assert (err.expected, err.found, err.hint) == (
+            f"one '{word}' entry", word, "repeated entry")
+
+    def test_conflicting_text_after_a_long_run(self):
+        data = "".join(f'  data d{i}: "D{i}"\n' for i in range(50))
+        src = f'prop d40: "other"\nargument "a" {{\n{data}  claim c: "C"\n}}\n'
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert err.span == _span(_line_starts(src), src.index('d40: "D40"'), 3)
+        assert (err.expected, err.found, err.hint) == (
+            "fresh proposition id", "d40", "duplicate id with conflicting text")
+
     @pytest.mark.parametrize("entry, expected", [
         ("type: inquiry", "one 'type' entry"),
         ("settlement p", "one 'settlement' entry"),
@@ -433,17 +457,32 @@ class TestStatements:
             QualifierKind.PROBABLY)
         assert lexes <= (100 * 6 - 1) // 10
 
+    def traced_parse(self, text):
+        """The document, and the memory it holds and the parse's peak."""
+        tracemalloc.start()
+        try:
+            doc = parse_document(text)
+            return (doc, *tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+
     def test_parse_holds_little_beyond_the_document(self):
         # Runs are read one line per match: a pattern that repeats over a
         # whole run makes `re` keep state for every line it has passed.
         text, _ = dialogues.make_document("memory:8000:clean", 8000, "clean")
-        tracemalloc.start()
-        try:
-            doc = parse_document(text)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        doc, retained, peak = self.traced_parse(text)
         assert sum(len(d.moves) for d in doc.dialogues.values()) >= 8000
+        assert peak <= 1.05 * retained
+
+    def test_argument_parse_holds_little_beyond_the_document(self):
+        # One run of 8000 slot lines.  (The runs of a benchmark chain are
+        # about six lines long, and resolving its links briefly holds a
+        # fifth of the document more, with any run reader.)
+        text = ('argument "a" {\n'
+                + "".join(f'  data d{i}: "datum {i}"\n' for i in range(8000))
+                + '  warrant w: "W"\n  claim c: "C"\n}\n')
+        doc, retained, peak = self.traced_parse(text)
+        assert len(doc.graph.arguments["a"].data) == 8000
         assert peak <= 1.05 * retained
 
 
