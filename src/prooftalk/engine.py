@@ -175,69 +175,89 @@ def _kind_rule(kind: MoveKind, dialogue_type: DialogueType) -> Optional[str]:
 KIND_RULES = {(k, t): _kind_rule(k, t) for k in MoveKind for t in DialogueType}
 
 
+# The members the per-move code compares against, read once here: loading
+# `MoveKind.ASSERT` looks the member up on the enum class each time, at
+# several times the cost of reading a module global, and the replay and
+# the answer-window scan would make several such loads per move.
+_ASSERT, _CHALLENGE, _CONCEDE = (
+    MoveKind.ASSERT, MoveKind.CHALLENGE, MoveKind.CONCEDE)
+_RETRACT, _DECLARE_SHIFT, _CLOSE = (
+    MoveKind.RETRACT, MoveKind.DECLARE_SHIFT, MoveKind.CLOSE)
+_AFFIRMED, _DENIED = Polarity.AFFIRMED, Polarity.DENIED
+_CLOSED = Phase.CLOSED
+
+# One participant's commitments: proposition -> polarity.
+_Commitments = dict[str, Polarity]
+
+
 def _check_move(phase: Phase, expected: int, operative: DialogueType,
-                stores: dict[str, dict[str, Polarity]], move: Move
+                stores: dict[str, _Commitments],
+                others: dict[str, list[_Commitments]], move: Move
                 ) -> Optional[ViolationInfo]:
     """The violation the move commits, or None when it is legal.
 
     The dialogue is seen as its phase, the turn expected next, the
-    operative type and each participant's commitments by proposition.
+    operative type, each participant's commitments by proposition, and,
+    for each participant, the commitments of every other one.
     """
-    if phase is Phase.CLOSED:
-        return ViolationInfo(move.turn, "dialogue-closed",
-                             "no moves after close")
-    if move.turn != expected:
-        return ViolationInfo(move.turn, "turn-out-of-order",
-                             f"expected turn {expected}, got {move.turn}")
-    own = stores.get(move.speaker)
+    turn, speaker, kind, subject = move
+    if phase is _CLOSED:
+        return ViolationInfo(turn, "dialogue-closed", "no moves after close")
+    if turn != expected:
+        return ViolationInfo(turn, "turn-out-of-order",
+                             f"expected turn {expected}, got {turn}")
+    own = stores.get(speaker)
     if own is None:
-        return ViolationInfo(move.turn, "unknown-speaker",
-                             f"no participant '{move.speaker}'")
+        return ViolationInfo(turn, "unknown-speaker",
+                             f"no participant '{speaker}'")
 
-    if move.kind is MoveKind.DECLARE_SHIFT:
-        if not isinstance(move.subject, DialogueType):
+    if kind is _DECLARE_SHIFT:
+        if not isinstance(subject, DialogueType):
             return ViolationInfo(
-                move.turn, "shift-target-not-a-type",
+                turn, "shift-target-not-a-type",
                 "declare_shift subject must be a dialogue type")
         return None
-    if not isinstance(move.subject, str):
+    if not isinstance(subject, str):
         return ViolationInfo(
-            move.turn, "subject-not-a-proposition",
-            f"{move.kind.value} subject must be a proposition id")
+            turn, "subject-not-a-proposition",
+            f"{kind.value} subject must be a proposition id")
 
-    rule = KIND_RULES[move.kind, operative]
+    rule = KIND_RULES[kind, operative]
     if rule is not None:
         return ViolationInfo(
-            move.turn, rule,
-            f"{move.kind.value} is not a {operative.value} move")
+            turn, rule, f"{kind.value} is not a {operative.value} move")
 
-    if move.kind is MoveKind.ASSERT:
-        if own.get(move.subject) is Polarity.DENIED:
+    if kind is _ASSERT:
+        if own.get(subject) is _DENIED:
             return ViolationInfo(
-                move.turn, "conflicting-commitment",
-                f"'{move.speaker}' has denied '{move.subject}'; retract first")
-    elif move.kind is MoveKind.CHALLENGE:
-        if own.get(move.subject) is Polarity.AFFIRMED:
+                turn, "conflicting-commitment",
+                f"'{speaker}' has denied '{subject}'; retract first")
+    elif kind is _CHALLENGE:
+        if own.get(subject) is _AFFIRMED:
             return ViolationInfo(
-                move.turn, "challenge-own-assertion",
-                f"'{move.speaker}' cannot challenge their own commitment to "
-                f"'{move.subject}'")
-        if all(move.subject not in c
-               for owner, c in stores.items() if owner != move.speaker):
+                turn, "challenge-own-assertion",
+                f"'{speaker}' cannot challenge their own commitment to "
+                f"'{subject}'")
+        for other in others[speaker]:
+            if subject in other:
+                break
+        else:
             return ViolationInfo(
-                move.turn, "challenge-uncommitted",
-                f"no other participant is committed to '{move.subject}'")
-    elif move.kind is MoveKind.CONCEDE:
-        if all(c.get(move.subject) is not Polarity.AFFIRMED
-               for owner, c in stores.items() if owner != move.speaker):
+                turn, "challenge-uncommitted",
+                f"no other participant is committed to '{subject}'")
+    elif kind is _CONCEDE:
+        for other in others[speaker]:
+            if other.get(subject) is _AFFIRMED:
+                break
+        else:
             return ViolationInfo(
-                move.turn, "concede-unasserted",
-                f"no other participant has affirmed '{move.subject}'")
-    elif move.kind is MoveKind.RETRACT:
-        if move.subject not in own:
+                turn, "concede-unasserted",
+                f"no other participant has affirmed '{subject}'")
+    elif kind is _RETRACT:
+        if subject not in own:
             return ViolationInfo(
-                move.turn, "retract-without-commitment",
-                f"'{move.speaker}' has no commitment to '{move.subject}'")
+                turn, "retract-without-commitment",
+                f"'{speaker}' has no commitment to '{subject}'")
     return None
 
 
@@ -245,8 +265,16 @@ def _next_turn(state: DialogueState) -> int:
     return (state.history[-1].turn + 1) if state.history else 1
 
 
-def _commitments(state: DialogueState) -> dict[str, dict[str, Polarity]]:
-    return {s.owner: dict(s.commitments) for s in state.stores}
+def _commitments(state: DialogueState
+                 ) -> tuple[dict[str, _Commitments],
+                            dict[str, list[_Commitments]]]:
+    """Each participant's commitments as a dict by proposition, and for
+    each participant the dicts of every other one (the same objects, so
+    that the fold's updates show in both)."""
+    stores = {s.owner: dict(s.commitments) for s in state.stores}
+    others = {owner: [c for o, c in stores.items() if o != owner]
+              for owner in stores}
+    return stores, others
 
 
 def _fold(state: DialogueState, moves: tuple[Move, ...],
@@ -258,32 +286,34 @@ def _fold(state: DialogueState, moves: tuple[Move, ...],
     `switch_at` maps a turn to the operative type it switches to before
     that turn's move is checked.
     """
-    stores = _commitments(state)
-    history = list(state.history)
+    stores, others = _commitments(state)
     phase, operative = state.phase, state.current_type
-    expected = _next_turn(state)
+    first = expected = _next_turn(state)
     violation = None
     for move in moves:
-        operative = switch_at.get(move.turn, operative)
-        violation = _check_move(phase, expected, operative, stores, move)
+        turn, speaker, kind, subject = move
+        operative = switch_at.get(turn, operative)
+        violation = _check_move(phase, expected, operative, stores, others,
+                                move)
         if violation is not None:
             break
-        history.append(move)
         expected += 1
-        if move.kind is MoveKind.CLOSE:
-            phase = Phase.CLOSED
-        elif move.kind is MoveKind.DECLARE_SHIFT:
-            operative = move.subject
-        elif move.kind is MoveKind.ASSERT or move.kind is MoveKind.CONCEDE:
+        if kind is _CLOSE:
+            phase = _CLOSED
+        elif kind is _DECLARE_SHIFT:
+            operative = subject
+        elif kind is _ASSERT or kind is _CONCEDE:
             # Conceding withdraws a standing denial: the speaker gives in.
-            stores[move.speaker][move.subject] = Polarity.AFFIRMED
-        elif move.kind is MoveKind.RETRACT:
-            del stores[move.speaker][move.subject]
+            stores[speaker][subject] = _AFFIRMED
+        elif kind is _RETRACT:
+            del stores[speaker][subject]
         # challenge/question/offer/threat leave stores unchanged
+    # Every move played was due at the turn after the one before it.
+    history = state.history + tuple(moves[:expected - first])
     frozen = replace(
-        state, history=tuple(history), phase=phase, current_type=operative,
-        stores=tuple(CommitmentStore(owner, frozenset(c.items()))
-                     for owner, c in stores.items()))
+        state, history=history, phase=phase, current_type=operative,
+        stores=tuple([CommitmentStore(owner, frozenset(c.items()))
+                      for owner, c in stores.items()]))
     return frozen, violation
 
 
@@ -308,7 +338,7 @@ def legal_moves(state: DialogueState, speaker: str,
     if state.phase is Phase.CLOSED:
         return []
     turn = _next_turn(state)
-    view = (state.phase, turn, state.current_type, _commitments(state))
+    view = (state.phase, turn, state.current_type, *_commitments(state))
     if propositions is None:
         propositions = {state.crucial_proposition}
         if state.settlement:
@@ -320,10 +350,11 @@ def legal_moves(state: DialogueState, speaker: str,
                 propositions.add(m.subject)
         propositions.add("_fresh")
 
+    ordered = sorted(propositions)
     kinds = []
     for kind in MoveKind:
-        subjects = ([DialogueType.DELIBERATION] if kind is MoveKind.DECLARE_SHIFT
-                    else sorted(propositions))
+        subjects = ([DialogueType.DELIBERATION] if kind is _DECLARE_SHIFT
+                    else ordered)
         for subject in subjects:
             if _check_move(*view, Move(turn, speaker, kind, subject)) is None:
                 kinds.append(kind)
@@ -348,20 +379,20 @@ def _unanswered_challenge(state: DialogueState) -> Optional[str]:
     open_challenges: dict[str, deque[tuple[int, str, int]]] = {}
     replies: dict[str, int] = {}
     unanswered: list[tuple[int, str]] = []
-    for i, move in enumerate(state.history):
+    for i, (_, speaker, kind, subject) in enumerate(state.history):
         for challenger, waiting in open_challenges.items():
-            if challenger == move.speaker or not waiting:
+            if challenger == speaker or not waiting:
                 continue
-            if move.kind is MoveKind.ASSERT:
+            if kind is _ASSERT:
                 waiting.clear()
                 continue
             replies[challenger] += 1
             while waiting and replies[challenger] - waiting[0][2] == ANSWER_WINDOW:
                 unanswered.append(waiting.popleft()[:2])
-        if move.kind is MoveKind.CHALLENGE:
-            open_challenges.setdefault(move.speaker, deque()).append(
-                (i, move.subject, replies.setdefault(move.speaker, 0)))
-    unanswered.extend(w[0][:2] for w in open_challenges.values() if w)
+        if kind is _CHALLENGE:
+            open_challenges.setdefault(speaker, deque()).append(
+                (i, subject, replies.setdefault(speaker, 0)))
+    unanswered += [w[0][:2] for w in open_challenges.values() if w]
     return min(unanswered)[1] if unanswered else None
 
 

@@ -17,6 +17,10 @@ from .typology import DialogueType, GOAL_OF_TYPE, MainGoal
 
 SHIFT_WINDOW = 3
 
+# Read once here rather than from the enum class on every move, as the
+# engine does for its per-move code.
+_DECLARE_SHIFT = MoveKind.DECLARE_SHIFT
+
 # Tried in order when an undeclared drift admits several operative types.
 _TYPE_PRIORITY = (
     DialogueType.INQUIRY,
@@ -94,24 +98,22 @@ def segment_moves(moves: tuple[Move, ...],
     def close(end_turn: int) -> None:
         segments.append(Segment(start, end_turn, current, declared, sharp))
 
-    for i, move in enumerate(moves):
-        if (move.kind is MoveKind.DECLARE_SHIFT
-                and isinstance(move.subject, DialogueType)):
-            if move.turn > start:
-                close(move.turn - 1)
-                start = move.turn
-            current, declared, sharp = move.subject, True, True
-        elif (isinstance(move.subject, str)
-              and KIND_RULES[move.kind, current] is not None):
-            span = moves[i:i + SHIFT_WINDOW]
-            # Never empty: negotiation allows every move kind.
+    for i, (turn, _, kind, subject) in enumerate(moves):
+        if kind is _DECLARE_SHIFT and isinstance(subject, DialogueType):
+            if turn > start:
+                close(turn - 1)
+                start = turn
+            current, declared, sharp = subject, True, True
+        elif isinstance(subject, str) and KIND_RULES[kind, current] is not None:
+            ahead = {m.kind for m in moves[i:i + SHIFT_WINDOW]}
+            # The types that allow every kind ahead; never empty, as
+            # negotiation allows every move kind.
             candidates = [t for t in _TYPE_PRIORITY
-                          if all(KIND_RULES[m.kind, t] is None for m in span)]
-            alone = [t for t in _TYPE_PRIORITY
-                     if KIND_RULES[move.kind, t] is None]
-            if move.turn > start:
-                close(move.turn - 1)
-                start = move.turn
+                          if {KIND_RULES[k, t] for k in ahead} == {None}]
+            alone = [t for t in _TYPE_PRIORITY if KIND_RULES[kind, t] is None]
+            if turn > start:
+                close(turn - 1)
+                start = turn
             current, declared, sharp = candidates[0], False, len(alone) == 1
     close(moves[-1].turn)
     return segments

@@ -1,10 +1,13 @@
 """The linear-time cycle, link and challenge checks, the dialogue
-replay fold, the legality table, the one-pass shift detector, the regex
-tokenizer, the parser and the derived survey tables agree with the
-reference versions in `oracles`, the CLI's JSON writer agrees with the
-standard library's, and the CLI output on the shipped corpus matches
-the recorded golden output byte for byte."""
+replay fold (also on one transcript per rule it can name, and on a
+three-party state), `legal_moves`, the legality table, the one-pass
+shift detector, the regex tokenizer, the parser and the derived survey
+tables agree with the reference versions in `oracles`, the CLI's JSON
+writer agrees with the standard library's, and the CLI output on the
+shipped corpus matches the recorded golden output byte for byte."""
 
+import ast
+import inspect
 import itertools
 import json
 import sys
@@ -20,15 +23,18 @@ from prooftalk.analysis import analyze_document
 from prooftalk.cli import _json, fixture_paths, main
 from prooftalk.engine import (
     KIND_RULES,
+    CommitmentStore,
     DialogueState,
     Move,
     MoveKind,
     Participant,
+    Polarity,
     ProtocolViolation,
     Role,
     StanceMismatch,
     _unanswered_challenge,
     apply_move,
+    legal_moves,
     new_dialogue,
     replay_moves,
 )
@@ -52,7 +58,7 @@ from prooftalk.model import (
     add_link,
 )
 from prooftalk.shifts import Segment, detect_shifts, segment_moves
-from prooftalk import typology
+from prooftalk import engine, typology
 from prooftalk.typology import DialogueType, Stance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -297,6 +303,122 @@ def test_replay_moves_matches_reference(case):
 @given(transcripts())
 def test_apply_move_matches_reference(case):
     assert_apply_move_matches_reference(*case)
+
+
+def M(turn, speaker, kind, subject):
+    """A move with its kind given by name."""
+    return Move(turn, speaker, MoveKind(kind), subject)
+
+
+# One short transcript per rule the move check can name, each broken by
+# its last move.  In the persuasion, alice affirms p and bob denies it.
+PERSUADE = OPENINGS[DialogueType.PERSUASION][0]
+RULE_CASES = {
+    "dialogue-closed": (PERSUADE, (M(1, "alice", "close", "p"),
+                                   M(2, "bob", "assert", "q"))),
+    "turn-out-of-order": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                     M(3, "bob", "assert", "q"))),
+    "unknown-speaker": (PERSUADE, (M(1, "carol", "assert", "q"),)),
+    "shift-target-not-a-type": (PERSUADE, (
+        M(1, "alice", "declare_shift", "p"),)),
+    "subject-not-a-proposition": (PERSUADE, (M(1, "alice", "assert", None),)),
+    "retract-forbidden-in-inquiry": (OPENINGS[DialogueType.INQUIRY][0], (
+        M(1, "alice", "assert", "q"), M(2, "alice", "retract", "q"))),
+    "offer-move-outside-settlement-dialogue": (PERSUADE, (
+        M(1, "alice", "offer", "q"),)),
+    "threat-move-outside-negotiation": (
+        OPENINGS[DialogueType.DELIBERATION][0],
+        (M(1, "alice", "offer", "q"), M(2, "bob", "threat", "q"))),
+    "conflicting-commitment": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                          M(2, "bob", "assert", "p"))),
+    "challenge-own-assertion": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                           M(2, "alice", "challenge", "q"))),
+    "challenge-uncommitted": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                         M(2, "alice", "challenge", "r"))),
+    "concede-unasserted": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                      M(2, "alice", "concede", "q"))),
+    "retract-without-commitment": (PERSUADE, (M(1, "alice", "assert", "q"),
+                                              M(2, "bob", "retract", "q"))),
+}
+
+
+def test_rule_cases_cover_every_rule_the_check_names():
+    check = ast.parse(inspect.getsource(engine._check_move))
+    named = {call.args[1].value for call in ast.walk(check)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == "ViolationInfo"
+             and isinstance(call.args[1], ast.Constant)}
+    assert set(RULE_CASES) == named | set(KIND_RULES.values()) - {None}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CASES))
+def test_each_rule_matches_reference(rule):
+    # No drift switches: the declared type's kind rules hold throughout.
+    initial, moves = RULE_CASES[rule]
+    result = replay_moves(initial, moves, [])
+    assert result == oracles.replay_moves(initial, moves, [])
+    assert result.violation[:2] == (moves[-1].turn, rule)
+    assert result.state.history == moves[:-1]
+    assert applied(apply_move, result.state, moves[-1]) == \
+        applied(oracles.apply_move, result.state, moves[-1]) == \
+        result.violation
+
+
+def test_three_store_replay_matches_reference():
+    # new_dialogue opens two-party dialogues only, but the state takes
+    # more.  Carol's commitments alone make alice's challenge and bob's
+    # concession legal, and her own affirmation does not let her concede.
+    people = (Participant("alice", Role.PROVER, Stance.TRUE),
+              Participant("bob", Role.INTERLOCUTOR, Stance.FALSE),
+              Participant("carol", Role.INTERLOCUTOR, Stance.UNKNOWN))
+    initial = DialogueState(
+        DialogueType.PERSUASION, "p", people,
+        (CommitmentStore("alice", frozenset({("p", Polarity.AFFIRMED)})),
+         CommitmentStore("bob", frozenset({("p", Polarity.DENIED)})),
+         CommitmentStore("carol")))
+    moves = (M(1, "carol", "assert", "r"), M(2, "carol", "assert", "s"),
+             M(3, "alice", "challenge", "r"), M(4, "bob", "concede", "r"),
+             M(5, "carol", "concede", "s"))
+    result = replay_moves(initial, moves, [])
+    assert result == oracles.replay_moves(initial, moves, [])
+    assert result.violation[:2] == (5, "concede-unasserted")
+    assert result.state.history == moves[:4]
+    assert_apply_move_matches_reference(initial, moves)
+
+
+def reference_universe(state):
+    """The propositions `legal_moves` probes by default."""
+    props = {state.crucial_proposition, "_fresh"}
+    if state.settlement:
+        props.add(state.settlement)
+    props |= {p for s in state.stores for p, _ in s.commitments}
+    return props | {m.subject for m in state.history
+                    if isinstance(m.subject, str)}
+
+
+def reference_legal_kinds(state, speaker, universe):
+    """The kinds for which some probe passes the reference check."""
+    turn = (state.history[-1].turn + 1) if state.history else 1
+    return [kind for kind in MoveKind if any(
+        legal_in_reference(state, Move(turn, speaker, kind, subject))
+        for subject in ([DialogueType.DELIBERATION]
+                        if kind is MoveKind.DECLARE_SHIFT else universe))]
+
+
+@settings(max_examples=100)
+@given(transcripts())
+def test_legal_moves_matches_reference(case):
+    initial, moves = case
+    states = [initial]
+    for move in moves:
+        if legal_in_reference(states[-1], move):
+            states.append(oracles.apply_move(states[-1], move))
+    for state in states:
+        for speaker in ("alice", "bob"):
+            assert legal_moves(state, speaker, set(PROPS)) == \
+                reference_legal_kinds(state, speaker, PROPS)
+            assert legal_moves(state, speaker) == reference_legal_kinds(
+                state, speaker, reference_universe(state))
 
 
 def analyzed(initial, moves):

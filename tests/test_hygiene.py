@@ -8,7 +8,11 @@ Also: README's command synopses name exactly the options the CLI parser
 takes, plain records are named tuples, with a dataclass kept only
 where a record checks or derives a field or the parser mutates it,
 every public module-level name has a caller, and no compiled pattern
-needs a newer Python than the one pyproject.toml declares."""
+needs a newer Python than the one pyproject.toml declares.  The code
+that runs once per move (the move check, and the loops of the replay
+fold, the answer-window scan and the segmentation) loads no enum member
+from its class and builds no generator: no test times the replay, so
+this is what keeps that per-move cost from coming back unnoticed."""
 
 import argparse
 import ast
@@ -106,6 +110,29 @@ def test_only_apply_move_raises_protocol_violation_and_none_catches_it():
                 catching.add(f"{path.stem}:{node.lineno}")
     assert naming == {"engine.apply_move"}
     assert catching == set()
+
+
+# Functions that run once per move or loop over the moves, by module.
+PER_MOVE = {"engine.py": {"_check_move", "_fold", "_unanswered_challenge"},
+            "shifts.py": {"segment_moves"}}
+ENUMS = {"MoveKind", "Polarity", "Phase"}
+
+
+@pytest.mark.parametrize("module", sorted(PER_MOVE))
+def test_per_move_code_loads_no_enum_member_and_builds_no_generator(module):
+    found = set()
+    for node in ast.walk(tree_of(module)):
+        if isinstance(node, ast.FunctionDef) and node.name in PER_MOVE[module]:
+            found.add(node.name)
+            for n in ast.walk(node):
+                member = (isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name)
+                          and n.value.id in ENUMS)
+                assert not member, \
+                    f"{node.name}:{n.lineno} loads {n.value.id}.{n.attr}"
+                assert not isinstance(n, ast.GeneratorExp), \
+                    f"{node.name}:{n.lineno} builds a generator"
+    assert found == PER_MOVE[module]
 
 
 def readme_synopses():
