@@ -3,7 +3,6 @@ dialogues, commitment-store replay and shift analysis."""
 
 from .model import (
     ArgumentGraph,
-    Comparison,
     CycleError,
     Diagnostic,
     Proposition,
@@ -13,7 +12,6 @@ from .model import (
     SlotMismatch,
     ToulminArgument,
     add_link,
-    compare_qualifiers,
     export_dot,
     render_reading,
     validate_argument,

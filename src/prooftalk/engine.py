@@ -337,8 +337,8 @@ def legal_moves(state: DialogueState, speaker: str,
     """
     if state.phase is Phase.CLOSED:
         return []
-    turn = _next_turn(state)
-    view = (state.phase, turn, state.current_type, *_commitments(state))
+    turn, operative = _next_turn(state), state.current_type
+    view = (state.phase, turn, operative, *_commitments(state))
     if propositions is None:
         propositions = {state.crucial_proposition}
         if state.settlement:
@@ -353,6 +353,8 @@ def legal_moves(state: DialogueState, speaker: str,
     ordered = sorted(propositions)
     kinds = []
     for kind in MoveKind:
+        if KIND_RULES[kind, operative] is not None:
+            continue  # the type forbids the kind, whatever its subject
         subjects = ([DialogueType.DELIBERATION] if kind is _DECLARE_SHIFT
                     else ordered)
         for subject in subjects:

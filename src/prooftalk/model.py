@@ -28,23 +28,6 @@ class QualifierKind(str, Enum):
     CUSTOM = "custom"
 
 
-CANONICAL_LABELS = {
-    QualifierKind.NECESSARILY: "necessarily",
-    QualifierKind.ALMOST_CERTAINLY: "almost certainly",
-    QualifierKind.PROBABLY: "probably",
-    QualifierKind.PRESUMABLY: "presumably",
-}
-
-# Strength ranks; higher binds the claim more tightly.  Custom qualifiers
-# carry no rank and are incomparable to everything but themselves.
-_STRENGTH = {
-    QualifierKind.NECESSARILY: 3,
-    QualifierKind.ALMOST_CERTAINLY: 2,
-    QualifierKind.PROBABLY: 1,
-    QualifierKind.PRESUMABLY: 0,
-}
-
-
 @dataclass(frozen=True)
 class Qualifier:
     kind: QualifierKind
@@ -54,31 +37,9 @@ class Qualifier:
         if self.kind is QualifierKind.CUSTOM:
             if not self.label:
                 raise ValueError("custom qualifier requires a label")
-        elif self.label is None:
-            object.__setattr__(self, "label", CANONICAL_LABELS[self.kind])
-
-
-class Comparison(Enum):
-    STRONGER = "stronger"
-    WEAKER = "weaker"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def compare_qualifiers(a: Qualifier, b: Qualifier) -> Comparison:
-    """Strict partial order on qualifier strength.
-
-    necessarily > almost certainly > probably > presumably; custom
-    qualifiers compare equal only to an identically labelled custom.
-    """
-    if a.kind is QualifierKind.CUSTOM or b.kind is QualifierKind.CUSTOM:
-        if a.kind is QualifierKind.CUSTOM and b.kind is QualifierKind.CUSTOM:
-            return Comparison.EQUAL if a.label == b.label else Comparison.INCOMPARABLE
-        return Comparison.INCOMPARABLE
-    ra, rb = _STRENGTH[a.kind], _STRENGTH[b.kind]
-    if ra == rb:
-        return Comparison.EQUAL
-    return Comparison.STRONGER if ra > rb else Comparison.WEAKER
+        elif self.label is None:  # almost_certainly reads "almost certainly"
+            object.__setattr__(self, "label",
+                               self.kind.value.replace("_", " "))
 
 
 class ToulminArgument(NamedTuple):

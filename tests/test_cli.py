@@ -332,18 +332,28 @@ class TestAnalyze:
         finally:
             gc.enable()
 
-    def test_stance_mismatch_is_domain_error(self, tmp_path, capsys):
+    @pytest.fixture
+    def mismatch_file(self, tmp_path):
         path = tmp_path / "mismatch.arg"
         path.write_text(
             'prop p: "x"\n'
             'dialogue "d" {\n  type: inquiry\n  participants: a, b\n'
             '  stance a p: true\n  stance b p: false\n}\n',
             encoding="utf-8")
-        assert main(["analyze", str(path)]) == EXIT_DOMAIN
+        return path
+
+    def test_stance_mismatch_is_domain_error(self, mismatch_file, capsys):
+        assert main(["analyze", str(mismatch_file)]) == EXIT_DOMAIN
         report = json.loads(capsys.readouterr().out)
         assert report["dialogues"] == [{
             "dialogue_id": "d",
             "error": "inquiry requires open_problem; stances give conflict"}]
+
+    def test_stance_mismatch_in_text_format(self, mismatch_file, capsys):
+        assert main(["analyze", str(mismatch_file),
+                     "--format", "text"]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == (
+            "d: error: inquiry requires open_problem; stances give conflict\n")
 
 
 class TestReport:

@@ -75,6 +75,15 @@ class TestNewDialogue:
             new_dialogue(DialogueType.INQUIRY, "p1",
                          (Participant("solo", Role.PROVER, Stance.UNKNOWN),))
 
+    def test_requires_distinct_participant_ids(self):
+        twin = Participant("alice", Role.PROVER, Stance.UNKNOWN)
+        with pytest.raises(ValueError):
+            new_dialogue(DialogueType.INQUIRY, "p1", (twin, twin))
+
+    def test_store_of_an_unknown_participant(self):
+        with pytest.raises(KeyError):
+            inquiry_state().store_of("z")
+
 
 class TestApplyMove:
     def test_assert_adds_affirmed(self):

@@ -7,7 +7,8 @@ so `apply_move` is the one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
 takes, plain records are named tuples, with a dataclass kept only
 where a record checks or derives a field or the parser mutates it,
-every public module-level name has a caller, and no compiled pattern
+every public module-level name has a caller (in the package, the
+acceptance tests or a named file of the benchmark), and no compiled pattern
 needs a newer Python than the one pyproject.toml declares.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
@@ -182,14 +183,18 @@ def test_dataclasses_are_only_the_checked_or_mutated_records():
         "ArgumentGraph", "Document"}
 
 
-# Public names kept without a caller in the package or the acceptance
-# tests, each with the reason it stays.
+# Public names with no caller in the package or the acceptance tests,
+# each with the file outside the package that calls it.
 UNCALLED_PUBLIC = {
-    "markup.tokenize": "read by the lexer tests and perfbench's tracer",
-    "model.add_link": "the public graph-building API; the argument_graphs "
-                      "benchmark rebuilds its graphs with it",
-    "model.compare_qualifiers": "waits for the qualifier-strength rule",
+    "markup.tokenize": "perfbench/spans.py",  # traced as its own layer
+    "model.add_link": "perfbench/run.py",  # the argument_graphs rebuild
 }
+
+
+@pytest.mark.parametrize("name, caller", sorted(UNCALLED_PUBLIC.items()))
+def test_uncalled_public_name_is_called_from_its_file(name, caller):
+    text = (ROOT / caller).read_text(encoding="utf-8")
+    assert re.search(rf"\b{re.escape(name)}\b", text), f"{caller}: {name}"
 
 
 def defined_names(stmt):

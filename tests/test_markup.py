@@ -222,6 +222,26 @@ class TestParseDocument:
             parse_document(src)
         assert message in [e.message for e in exc.value.errors]
 
+    @pytest.mark.parametrize("src, line, column, message", [
+        ('argument "s" {\n  data d: "D"\n  warrant w: "W"\n  claim x: "X"\n}\n'
+         'argument "t" {\n  data c: "C"\n  warrant v: "V"\n  claim e: "E"\n'
+         '  uses c <- argument "s"\n}\n', 10, 8,
+         "expected claim of argument 's', found c "
+         "(source claim does not match the slot)"),
+        ('argument "a" {\n  qualifier: custom probably\n}\n', 2, 21,
+         "expected custom qualifier label, found probably"),
+        ('prop p: "P"\ndialogue "d" {\n  type: inquiry\n'
+         '  participants: x, y\n  stance x p: maybe\n'
+         '  stance y p: unknown\n}\n', 5, 15,
+         "expected 'true', 'false' or 'unknown', found maybe"),
+        ('dialogue {\n', 1, 10, "expected dialogue name, found {"),
+    ])
+    def test_located_error(self, src, line, column, message):
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        assert [(e.span.line, e.span.column, e.message)
+                for e in exc.value.errors] == [(line, column, message)]
+
     def test_one_error_per_span(self):
         # The token after the missing colon is no slot keyword either;
         # only the first error there is reported.

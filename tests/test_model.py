@@ -1,12 +1,10 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 from prooftalk.model import (
     ArgumentGraph,
-    Comparison,
     CycleError,
+    Diagnostic,
     Link,
     LinkRole,
     Proposition,
@@ -16,7 +14,6 @@ from prooftalk.model import (
     SlotMismatch,
     ToulminArgument,
     add_link,
-    compare_qualifiers,
     export_dot,
     render_reading,
     validate_argument,
@@ -86,52 +83,15 @@ class TestValidateArgument:
         assert validate_argument(good, g) == []
 
 
-class TestCompareQualifiers:
-    ORDER = [QualifierKind.NECESSARILY, QualifierKind.ALMOST_CERTAINLY,
-             QualifierKind.PROBABLY, QualifierKind.PRESUMABLY]
+class TestQualifier:
+    def test_named_label_is_the_kind_word_spaced(self):
+        assert [Qualifier(k).label for k in QualifierKind
+                if k is not QualifierKind.CUSTOM] == [
+            "necessarily", "almost certainly", "probably", "presumably"]
 
-    def test_necessarily_beats_probably(self):
-        assert compare_qualifiers(
-            Qualifier(QualifierKind.NECESSARILY),
-            Qualifier(QualifierKind.PROBABLY)) is Comparison.STRONGER
-
-    def test_reflexive_equal(self):
-        q = Qualifier(QualifierKind.PRESUMABLY)
-        assert compare_qualifiers(q, q) is Comparison.EQUAL
-
-    def test_custom_incomparable_to_named(self):
-        custom = Qualifier(QualifierKind.CUSTOM,
-                           "with strict geometrical necessity")
-        assert compare_qualifiers(
-            custom, Qualifier(QualifierKind.NECESSARILY)) \
-            is Comparison.INCOMPARABLE
-
-    def test_identical_customs_equal(self):
-        a = Qualifier(QualifierKind.CUSTOM, "beyond doubt")
-        b = Qualifier(QualifierKind.CUSTOM, "beyond doubt")
-        assert compare_qualifiers(a, b) is Comparison.EQUAL
-
-    def test_exhaustive_non_custom_table(self):
-        # antisymmetry and transitivity over the full 4x4 table
-        for a, b in itertools.product(self.ORDER, repeat=2):
-            res = compare_qualifiers(Qualifier(a), Qualifier(b))
-            rev = compare_qualifiers(Qualifier(b), Qualifier(a))
-            if a == b:
-                assert res is Comparison.EQUAL and rev is Comparison.EQUAL
-            else:
-                assert {res, rev} == {Comparison.STRONGER, Comparison.WEAKER}
-            expected = (Comparison.STRONGER
-                        if self.ORDER.index(a) < self.ORDER.index(b)
-                        else Comparison.WEAKER if a != b else Comparison.EQUAL)
-            assert res is expected
-
-    def test_transitivity(self):
-        for a, b, c in itertools.product(self.ORDER, repeat=3):
-            ab = compare_qualifiers(Qualifier(a), Qualifier(b))
-            bc = compare_qualifiers(Qualifier(b), Qualifier(c))
-            ac = compare_qualifiers(Qualifier(a), Qualifier(c))
-            if ab is Comparison.STRONGER and bc is Comparison.STRONGER:
-                assert ac is Comparison.STRONGER
+    def test_custom_requires_a_label(self):
+        with pytest.raises(ValueError):
+            Qualifier(QualifierKind.CUSTOM)
 
 
 def chain_graph(n):
@@ -268,6 +228,15 @@ def test_validate_graph_reports_link_problems():
                         (Link("a1", "a0", LinkRole.DATUM),))
     rules = [d.rule for d in validate_graph(bad)]
     assert "link-slot-mismatch" in rules
+
+
+def test_validate_graph_reports_a_link_to_a_missing_argument():
+    g = chain_graph(2)
+    bad = ArgumentGraph(g.propositions, g.arguments,
+                        (Link("a0", "ghost", LinkRole.DATUM),))
+    assert validate_graph(bad) == [Diagnostic(
+        "unresolved-link", "links", Severity.ERROR,
+        "link a0->ghost references a missing argument")]
 
 
 def test_diagnostics_name_the_argument_at_fault():

@@ -73,6 +73,15 @@ class TestInferInitialSituation:
             else:
                 assert x.variant is y.variant
 
+    @pytest.mark.parametrize("variant, direction, irreconcilable", [
+        (SituationKind.CONFLICT, AsymmetryDirection.PROVER_LACKS, False),
+        (SituationKind.INFO_ASYMMETRY, None, False),
+        (SituationKind.OPEN_PROBLEM, None, True)])
+    def test_situation_checks_its_fields(
+            self, variant, direction, irreconcilable):
+        with pytest.raises(ValueError):
+            InitialSituation(variant, direction, irreconcilable)
+
 
 SITUATIONS = {
     SituationKind.CONFLICT: InitialSituation(SituationKind.CONFLICT),
