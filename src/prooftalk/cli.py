@@ -27,18 +27,18 @@ def fixture_paths() -> list[Path]:
     return sorted(Path(__file__).with_name("fixtures").glob("*.arg"))
 
 
-def _load(path: str, out) -> markup.Document | int:
+def _load(path: str) -> markup.Document | int:
     try:
         source = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"{path}: error: {exc}", file=out)
+        print(f"{path}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return markup.parse_document(source)
     except markup.MarkupError as exc:
         for err in exc.errors:
             print(f"{path}:{err.span.line}:{err.span.column}: error: "
-                  f"{err.message}", file=out)
+                  f"{err.message}", file=sys.stderr)
         return EXIT_USAGE
 
 
@@ -116,7 +116,7 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     unloaded = False
     for path in args.paths:
-        doc = _load(path, sys.stderr)
+        doc = _load(path)
         if isinstance(doc, int):
             unloaded = True
             continue
@@ -131,7 +131,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    doc = _load(args.path, sys.stderr)
+    doc = _load(args.path)
     if isinstance(doc, int):
         return doc
     try:
@@ -146,7 +146,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    doc = _load(args.path, sys.stderr)
+    doc = _load(args.path)
     if isinstance(doc, int):
         return doc
     report = classify_document(doc)
@@ -162,7 +162,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    doc = _load(args.path, sys.stderr)
+    doc = _load(args.path)
     if isinstance(doc, int):
         return doc
     if not doc.dialogues:

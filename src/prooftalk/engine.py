@@ -350,13 +350,12 @@ def legal_moves(state: DialogueState, speaker: str,
                 propositions.add(m.subject)
         propositions.add("_fresh")
 
-    ordered = sorted(propositions)
     kinds = []
     for kind in MoveKind:
         if KIND_RULES[kind, operative] is not None:
             continue  # the type forbids the kind, whatever its subject
         subjects = ([DialogueType.DELIBERATION] if kind is _DECLARE_SHIFT
-                    else ordered)
+                    else propositions)
         for subject in subjects:
             if _check_move(*view, Move(turn, speaker, kind, subject)) is None:
                 kinds.append(kind)

@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -328,21 +328,18 @@ class _Parser:
             self.error(f"fresh {what} name", name, f"duplicate {what}")
         return kw, name
 
-    def entries(self, expected: str, words: frozenset[str]
-                ) -> Iterator[tuple[str, _Lexeme]]:
-        """A block body's entries up to its `}`, each as (keyword, token)."""
-        while True:
-            tok = self.next()
-            kind, value = tok[0], tok[1]
-            if kind == "rbrace":
-                return
-            if kind == "eof":
+    def entry(self, expected: str, words: frozenset[str]) -> Optional[_Lexeme]:
+        """The next entry keyword of a block body, or None past its `}`;
+        any other token is reported and skipped, and the end of input as a
+        missing `}`."""
+        while (tok := self.next())[0] != "rbrace":
+            if tok[0] == "keyword" and tok[1] in words:
+                return tok
+            if tok[0] == "eof":
                 self.error("'}'", tok)
-                return
-            if kind == "keyword" and value in words:
-                yield value, tok
-            else:
-                self.error(expected, tok)
+                return None
+            self.error(expected, tok)
+        return None
 
     def put(self, held: dict, key: str, kw: _Lexeme, value) -> None:
         """Put the value of the entry at keyword `kw` under `key`: a list
@@ -433,16 +430,11 @@ class _Parser:
         slots: dict = {"data": [], "rebuttal": [], "warrant": None,
                        "backing": None, "claim": None, "qualifier": None}
         while not self.read_slots(slots, name):  # an entry, token by token
-            entry = self.next()
-            kind, word = entry[0], entry[1]
-            if kind == "rbrace":
+            entry = self.entry("argument slot keyword", _ARGUMENT_SLOTS)
+            if entry is None:
                 break
-            if kind == "eof":
-                self.error("'}'", entry)
-                break
-            if kind != "keyword" or word not in _ARGUMENT_SLOTS:
-                self.error("argument slot keyword", entry)
-            elif word == "qualifier":
+            word = entry[1]
+            if word == "qualifier":
                 if self.expect("colon") and (q := self.parse_qualifier()):
                     self.put(slots, word, entry, q)
             elif word == "uses":
@@ -534,8 +526,8 @@ class _Parser:
         crucial: Optional[str] = None
         moves: list[Move] = []
 
-        for word, entry in self.entries(
-                "dialogue entry keyword", _DIALOGUE_ENTRIES):
+        while entry := self.entry("dialogue entry keyword", _DIALOGUE_ENTRIES):
+            word = entry[1]
             if word == "type":
                 if self.expect("colon") and (t := self.lookup(
                         TYPE_WORDS, "dialogue type name")):
@@ -735,7 +727,7 @@ def serialize(doc: Document) -> str:
                      for pid in pids if pid is not None)
 
     uses: dict[str, list[Link]] = {}
-    for link in sorted(graph.links):
+    for link in graph.links:  # kept sorted
         uses.setdefault(link.target, []).append(link)
 
     for aid in sorted(graph.arguments):

@@ -90,20 +90,12 @@ def segment_moves(moves: tuple[Move, ...],
         return []
 
     segments: list[Segment] = []
-    current = initial_type
     start = moves[0].turn
-    declared = False
-    sharp = True
-
-    def close(end_turn: int) -> None:
-        segments.append(Segment(start, end_turn, current, declared, sharp))
-
+    # The open segment, from `start`; each boundary names the one it opens.
+    current, declared, sharp = initial_type, False, True
     for i, (turn, _, kind, subject) in enumerate(moves):
         if kind is _DECLARE_SHIFT and isinstance(subject, DialogueType):
-            if turn > start:
-                close(turn - 1)
-                start = turn
-            current, declared, sharp = subject, True, True
+            opened = subject, True, True
         elif isinstance(subject, str) and KIND_RULES[kind, current] is not None:
             ahead = {m.kind for m in moves[i:i + SHIFT_WINDOW]}
             # The types that allow every kind ahead; never empty, as
@@ -111,11 +103,14 @@ def segment_moves(moves: tuple[Move, ...],
             candidates = [t for t in _TYPE_PRIORITY
                           if {KIND_RULES[k, t] for k in ahead} == {None}]
             alone = [t for t in _TYPE_PRIORITY if KIND_RULES[kind, t] is None]
-            if turn > start:
-                close(turn - 1)
-                start = turn
-            current, declared, sharp = candidates[0], False, len(alone) == 1
-    close(moves[-1].turn)
+            opened = candidates[0], False, len(alone) == 1
+        else:
+            continue
+        if turn > start:
+            segments.append(Segment(start, turn - 1, current, declared, sharp))
+            start = turn
+        current, declared, sharp = opened
+    segments.append(Segment(start, moves[-1].turn, current, declared, sharp))
     return segments
 
 

@@ -289,25 +289,19 @@ def assess_proof_status(
     rows (a non-rigorous settlement).  Missing entries count as not
     attempted; not attempted counts as non-success.
     """
-    def got(t: ProofDialogueType) -> Outcome:
-        return outcomes.get(t, Outcome.NOT_ATTEMPTED)
-
-    successes = {t for t in ProofDialogueType if got(t) is Outcome.SUCCESS}
-    inquiry_ok = ProofDialogueType.PROOF_AS_INQUIRY in successes
-    persuasion_ok = ProofDialogueType.PROOF_AS_PERSUASION in successes
-    pedagogical_ok = ProofDialogueType.PROOF_AS_PEDAGOGICAL in successes
-
-    if inquiry_ok and persuasion_ok:
-        if pedagogical_ok:
+    successes = {t for t in ProofDialogueType
+                 if outcomes.get(t) is Outcome.SUCCESS}
+    missing = [t.value for t in (ProofDialogueType.PROOF_AS_INQUIRY,
+                                 ProofDialogueType.PROOF_AS_PERSUASION)
+               if t not in successes]
+    if not missing:
+        if ProofDialogueType.PROOF_AS_PEDAGOGICAL in successes:
             return ProofStatus(ProofStatusKind.IDEAL_PROOF, (
                 "succeeded in inquiry, persuasion and pedagogical dialogues",))
         return ProofStatus(ProofStatusKind.PROOF, (
             "succeeded in both inquiry and persuasion dialogues; "
             "pedagogical success is neither necessary nor sufficient",))
 
-    missing = [t.value for t, ok in (
-        (ProofDialogueType.PROOF_AS_INQUIRY, inquiry_ok),
-        (ProofDialogueType.PROOF_AS_PERSUASION, persuasion_ok)) if not ok]
     base = f"lacks success in: {', '.join(missing)}"
 
     if successes == {ProofDialogueType.PROOF_AS_PEDAGOGICAL}:

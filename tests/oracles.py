@@ -14,7 +14,9 @@ Tables 1 and 3 are kept here as they were written out by hand, and the
 legality matrix that `engine.KIND_RULES` now holds once is kept as the
 two functions that each branched on the move kind.  The shift detector
 that rescanned the later segments at each shift, and took the declared
-type as a turn-0 segment spliced in front, is kept as it was.
+type as a turn-0 segment spliced in front, is kept as it was, and so is
+the segmentation that closed the segment before each boundary through a
+closure written out in both the declared-shift and the drift branch.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional, Union
 
 from prooftalk.engine import (
     ANSWER_WINDOW,
+    KIND_RULES,
     CommitmentStore,
     DialogueState,
     Move,
@@ -59,6 +62,9 @@ from prooftalk.model import (
     _has_cycle,
 )
 from prooftalk.shifts import (
+    SHIFT_WINDOW,
+    _DECLARE_SHIFT,
+    _TYPE_PRIORITY,
     Segment,
     Shift,
     ShiftKind,
@@ -285,6 +291,48 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
                 move.turn, exc.rule, str(exc)))
     return ReplayResult(state)
 
+
+def segment_moves(moves: tuple[Move, ...],
+                  initial_type: DialogueType) -> list[Segment]:
+    """Partition a move list into typed segments.
+
+    Boundaries arise from shifts declared to a dialogue type (a
+    declare_shift to anything else opens none) and from undeclared drifts:
+    a move whose kind is illegal under the current type opens a new
+    segment whose type is the highest-priority one under which the next
+    `SHIFT_WINDOW` moves are all kind-legal.
+    """
+    if not moves:
+        return []
+
+    segments: list[Segment] = []
+    current = initial_type
+    start = moves[0].turn
+    declared = False
+    sharp = True
+
+    def close(end_turn: int) -> None:
+        segments.append(Segment(start, end_turn, current, declared, sharp))
+
+    for i, (turn, _, kind, subject) in enumerate(moves):
+        if kind is _DECLARE_SHIFT and isinstance(subject, DialogueType):
+            if turn > start:
+                close(turn - 1)
+                start = turn
+            current, declared, sharp = subject, True, True
+        elif isinstance(subject, str) and KIND_RULES[kind, current] is not None:
+            ahead = {m.kind for m in moves[i:i + SHIFT_WINDOW]}
+            # The types that allow every kind ahead; never empty, as
+            # negotiation allows every move kind.
+            candidates = [t for t in _TYPE_PRIORITY
+                          if {KIND_RULES[k, t] for k in ahead} == {None}]
+            alone = [t for t in _TYPE_PRIORITY if KIND_RULES[kind, t] is None]
+            if turn > start:
+                close(turn - 1)
+                start = turn
+            current, declared, sharp = candidates[0], False, len(alone) == 1
+    close(moves[-1].turn)
+    return segments
 
 
 def detect_shifts(segments: list[Segment]) -> list[Shift]:

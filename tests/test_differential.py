@@ -1,7 +1,7 @@
 """The linear-time cycle, link and challenge checks, the dialogue
 replay fold (also on one transcript per rule it can name, and on a
-three-party state), `legal_moves`, the legality table, the one-pass
-shift detector, the regex tokenizer, the parser and the derived survey
+three-party state), `legal_moves`, the segmentation, the legality
+table, the one-pass shift detector, the regex tokenizer, the parser and the derived survey
 tables agree with the reference versions in `oracles`, the CLI's JSON
 writer agrees with the standard library's, and the CLI output on the
 shipped corpus matches the recorded golden output byte for byte."""
@@ -45,6 +45,7 @@ from prooftalk.markup import (
     _line_starts,
     _span,
     parse_document,
+    serialize,
 )
 from prooftalk.model import (
     ArgumentGraph,
@@ -303,6 +304,18 @@ def test_replay_moves_matches_reference(case):
 @given(transcripts())
 def test_apply_move_matches_reference(case):
     assert_apply_move_matches_reference(*case)
+
+
+@settings(max_examples=300)
+@example((OPENINGS[DialogueType.PERSUASION][0], SHIFT_TO_P))
+@given(transcripts())
+def test_segment_moves_matches_reference(case):
+    # Declared shifts, drifts and shifts to a proposition, from the
+    # transcript's declared type and, for more drifts, from every type.
+    _, moves = case
+    for initial_type in DialogueType:
+        assert segment_moves(moves, initial_type) == \
+            oracles.segment_moves(moves, initial_type)
 
 
 def M(turn, speaker, kind, subject):
@@ -590,6 +603,26 @@ def test_parse_document_matches_reference_on_benchmark_graphs(n_args, shape):
     # entirely as whole statements.
     text, _ = graphs.make_document(f"differential:{n_args}:{shape}", n_args, shape)
     assert_parse_matches_reference(text)
+
+
+@pytest.mark.parametrize("shape", graphs.SHAPES)
+@pytest.mark.parametrize("n_args", [20, 60, 200])
+def test_serialize_round_trips_benchmark_graphs(n_args, shape):
+    # Arguments with several `uses` lines, to data and (in DAGs) to
+    # backings: the serializer writes the links in the order the graph
+    # keeps them, whether the parser resolved them or `add_link` put
+    # them in one at a time in writing order.
+    text, model = graphs.make_document(f"roundtrip:{n_args}:{shape}", n_args, shape)
+    doc = parse_document(text)
+    assert {link.role for link in doc.graph.links} == (
+        {LinkRole.DATUM, LinkRole.BACKING} if shape == "dag" else {LinkRole.DATUM})
+    canonical = serialize(doc)
+    assert parse_document(canonical) == doc
+    assert serialize(parse_document(canonical)) == canonical
+    rebuilt = ArgumentGraph(doc.graph.propositions, doc.graph.arguments)
+    for source, target, role in model["links"]:
+        rebuilt = add_link(rebuilt, source, target, LinkRole(role))
+    assert serialize(Document(rebuilt)) == canonical
 
 
 @pytest.mark.parametrize("plant", dialogues.PLANTS)

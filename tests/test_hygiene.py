@@ -13,7 +13,8 @@ needs a newer Python than the one pyproject.toml declares.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
 from its class and builds no generator: no test times the replay, so
-this is what keeps that per-move cost from coming back unnoticed."""
+this is what keeps that per-move cost from coming back unnoticed.  The
+parser defines no generator function either."""
 
 import argparse
 import ast
@@ -134,6 +135,16 @@ def test_per_move_code_loads_no_enum_member_and_builds_no_generator(module):
                 assert not isinstance(n, ast.GeneratorExp), \
                     f"{node.name}:{n.lineno} builds a generator"
     assert found == PER_MOVE[module]
+
+
+def test_parser_defines_no_generator():
+    # A generator step on the statement path cost the parser measurably;
+    # its block bodies share one plain entry step instead.
+    generators = {node.name for node in ast.walk(tree_of("markup.py"))
+                  if isinstance(node, ast.FunctionDef) and any(
+                      isinstance(n, (ast.Yield, ast.YieldFrom))
+                      for n in ast.walk(node))}
+    assert generators == set()
 
 
 def readme_synopses():

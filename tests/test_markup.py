@@ -235,12 +235,26 @@ class TestParseDocument:
          '  stance y p: unknown\n}\n', 5, 15,
          "expected 'true', 'false' or 'unknown', found maybe"),
         ('dialogue {\n', 1, 10, "expected dialogue name, found {"),
+        # A stray token in each kind of block body; the dialogue's also
+        # runs to the end of input without its `}`.
+        ('argument "a" {\n  data d: "D"\n  oops\n  warrant w: "W"\n'
+         '  claim c: "C"\n}\n', 3, 3,
+         "expected argument slot keyword, found oops"),
+        ('prop p: "P"\ndialogue "d" {\n  type: inquiry\n  , \n'
+         '  participants: x, y\n  stance x p: unknown\n'
+         '  stance y p: unknown\n  move 1 x assert p\n', (4, 9), (3, 1),
+         ("expected dialogue entry keyword, found ,",
+          "expected '}', found <end of input>")),
     ])
     def test_located_error(self, src, line, column, message):
+        # A row with several errors gives their lines, columns and
+        # messages as tuples, in source order.
+        want = (list(zip(line, column, message)) if isinstance(line, tuple)
+                else [(line, column, message)])
         with pytest.raises(MarkupError) as exc:
             parse_document(src)
         assert [(e.span.line, e.span.column, e.message)
-                for e in exc.value.errors] == [(line, column, message)]
+                for e in exc.value.errors] == want
 
     def test_one_error_per_span(self):
         # The token after the missing colon is no slot keyword either;
