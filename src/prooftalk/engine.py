@@ -6,7 +6,8 @@ keeps each participant's commitments as a proposition -> polarity dict
 and the history as a list, checks every move against them, and freezes
 them into an immutable DialogueState once, at the end or at the first
 violation.  apply_move is the same fold over a single move.
-Two-participant dialogues only.
+new_dialogue and the parser open two-party dialogues only; the fold
+checks moves against a state with any number of stores.
 """
 
 from __future__ import annotations
@@ -338,7 +339,9 @@ def legal_moves(state: DialogueState, speaker: str,
     if state.phase is Phase.CLOSED:
         return []
     turn, operative = _next_turn(state), state.current_type
-    view = (state.phase, turn, operative, *_commitments(state))
+    stores, others = _commitments(state)
+    view = (state.phase, turn, operative, stores, others)
+    own, held = stores.get(speaker, {}), others.get(speaker, ())
     if propositions is None:
         propositions = {state.crucial_proposition}
         if state.settlement:
@@ -354,8 +357,14 @@ def legal_moves(state: DialogueState, speaker: str,
     for kind in MoveKind:
         if KIND_RULES[kind, operative] is not None:
             continue  # the type forbids the kind, whatever its subject
-        subjects = ([DialogueType.DELIBERATION] if kind is _DECLARE_SHIFT
-                    else propositions)
+        if kind is _DECLARE_SHIFT:
+            subjects = [DialogueType.DELIBERATION]
+        elif kind is _CHALLENGE:
+            # Lazily: held by another participant, not affirmed by the speaker.
+            subjects = (p for other in held for p in other
+                        if p in propositions and own.get(p) is not _AFFIRMED)
+        else:
+            subjects = propositions
         for subject in subjects:
             if _check_move(*view, Move(turn, speaker, kind, subject)) is None:
                 kinds.append(kind)

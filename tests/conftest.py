@@ -1,6 +1,6 @@
 import pytest
 
-from prooftalk import parse_document
+from prooftalk.markup import parse_document
 from prooftalk.cli import fixture_paths
 
 

@@ -4,12 +4,15 @@ three-party state), `legal_moves`, the segmentation, the legality
 table, the one-pass shift detector, the regex tokenizer, the parser and the derived survey
 tables agree with the reference versions in `oracles`, the CLI's JSON
 writer agrees with the standard library's, and the CLI output on the
-shipped corpus matches the recorded golden output byte for byte."""
+shipped corpus matches the recorded golden output byte for byte, also
+`report` from a `python -m prooftalk.cli` process."""
 
 import ast
 import inspect
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -705,6 +708,15 @@ def test_fixture_output_matches_golden(case, monkeypatch, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     assert {"exit": code, "stdout": out, "stderr": err} == GOLDEN[case]
+
+
+def test_cli_runs_as_a_module():
+    # The benchmark times `python -m prooftalk.cli` processes.
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "prooftalk.cli", "report"],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, GOLDEN["report"]["stdout"])
 
 
 # Strings with the characters the writer must escape as the standard

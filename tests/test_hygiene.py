@@ -14,12 +14,18 @@ that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
 from its class and builds no generator: no test times the replay, so
 this is what keeps that per-move cost from coming back unnoticed.  The
-parser defines no generator function either."""
+parser defines no generator function either.  The layering holds at
+run time too: the package root is its docstring alone, so a module
+imported alone in a fresh interpreter loads only the modules its own
+imports reach."""
 
 import argparse
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +74,36 @@ def test_module_level_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in bound.items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_package_root_is_its_docstring_alone():
+    (stmt,) = tree_of("__init__.py").body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value.value, str)
+
+
+def reached_modules(name):
+    """The module and every sibling its imports reach, transitively."""
+    siblings = {path.stem for path in MODULES}
+    reached, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += imported_modules(tree_of(f"{module}.py")) & siblings
+    return reached
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_importing_a_module_loads_only_what_its_imports_reach(path):
+    # A fresh interpreter, so the layering holds at run time and not only
+    # in the syntax tree: no module loads a layer it does not import.
+    loaded = "[n for n in sys.modules if n.partition('.')[0] == 'prooftalk']"
+    script = f"import sys, prooftalk.{path.stem}\nprint(*{loaded})"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(out.split()) == {"prooftalk"} | {
+        f"prooftalk.{m}" for m in reached_modules(path.stem)}
 
 
 def test_engine_imports_nothing_from_shifts():
