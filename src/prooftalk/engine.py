@@ -339,9 +339,7 @@ def legal_moves(state: DialogueState, speaker: str,
     if state.phase is Phase.CLOSED:
         return []
     turn, operative = _next_turn(state), state.current_type
-    stores, others = _commitments(state)
-    view = (state.phase, turn, operative, stores, others)
-    own, held = stores.get(speaker, {}), others.get(speaker, ())
+    view = (state.phase, turn, operative, *_commitments(state))
     if propositions is None:
         propositions = {state.crucial_proposition}
         if state.settlement:
@@ -357,14 +355,8 @@ def legal_moves(state: DialogueState, speaker: str,
     for kind in MoveKind:
         if KIND_RULES[kind, operative] is not None:
             continue  # the type forbids the kind, whatever its subject
-        if kind is _DECLARE_SHIFT:
-            subjects = [DialogueType.DELIBERATION]
-        elif kind is _CHALLENGE:
-            # Lazily: held by another participant, not affirmed by the speaker.
-            subjects = (p for other in held for p in other
-                        if p in propositions and own.get(p) is not _AFFIRMED)
-        else:
-            subjects = propositions
+        subjects = ([DialogueType.DELIBERATION] if kind is _DECLARE_SHIFT
+                    else propositions)
         for subject in subjects:
             if _check_move(*view, Move(turn, speaker, kind, subject)) is None:
                 kinds.append(kind)

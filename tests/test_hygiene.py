@@ -82,14 +82,18 @@ def test_package_root_is_its_docstring_alone():
 
 
 def reached_modules(name):
-    """The module and every sibling its imports reach, transitively."""
+    """The module and every sibling its module-level imports reach,
+    transitively; an import deferred into a function or an `if` block
+    does not load at import time, so it is not followed."""
     siblings = {path.stem for path in MODULES}
     reached, todo = set(), [name]
     while todo:
         module = todo.pop()
         if module not in reached:
             reached.add(module)
-            todo += imported_modules(tree_of(f"{module}.py")) & siblings
+            for node in tree_of(f"{module}.py").body:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    todo += imported_modules(node) & siblings
     return reached
 
 
