@@ -13,7 +13,6 @@ checks moves against a state with any number of stores.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -81,8 +80,7 @@ class Phase(str, Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class DialogueState:
+class _DialogueStateFields(NamedTuple):
     declared_type: DialogueType
     crucial_proposition: str
     participants: tuple[Participant, ...]
@@ -92,9 +90,15 @@ class DialogueState:
     current_type: DialogueType = None  # operative type; shifts update it
     settlement: Optional[str] = None
 
-    def __post_init__(self):
-        if self.current_type is None:
-            object.__setattr__(self, "current_type", self.declared_type)
+
+class DialogueState(_DialogueStateFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        state = super().__new__(cls, *args, **kwargs)
+        if state.current_type is None:
+            state = state._replace(current_type=state.declared_type)
+        return state
 
     def store_of(self, participant: str) -> CommitmentStore:
         for s in self.stores:
@@ -311,8 +315,8 @@ def _fold(state: DialogueState, moves: tuple[Move, ...],
         # challenge/question/offer/threat leave stores unchanged
     # Every move played was due at the turn after the one before it.
     history = state.history + tuple(moves[:expected - first])
-    frozen = replace(
-        state, history=history, phase=phase, current_type=operative,
+    frozen = state._replace(
+        history=history, phase=phase, current_type=operative,
         stores=tuple([CommitmentStore(owner, frozenset(c.items()))
                       for owner, c in stores.items()]))
     return frozen, violation

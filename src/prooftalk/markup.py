@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
@@ -202,14 +201,29 @@ class ProofDecl(NamedTuple):
     dialogues: tuple[str, ...]
 
 
-@dataclass
 class Document:
-    graph: ArgumentGraph = field(default_factory=ArgumentGraph)
-    dialogues: dict[str, DialogueDecl] = field(default_factory=dict)
-    proofs: dict[str, ProofDecl] = field(default_factory=dict)
-    # Span of each argument block's keyword, by argument name.
-    argument_spans: dict[str, SourceSpan] = field(
-        default_factory=dict, compare=False, repr=False)
+    """The parser fills a document in place.  Equality and repr leave
+    out `argument_spans`, each argument block's keyword span by name."""
+    __slots__ = ("graph", "dialogues", "proofs", "argument_spans")
+
+    def __init__(self, graph: Optional[ArgumentGraph] = None,
+                 dialogues: Optional[dict[str, DialogueDecl]] = None,
+                 proofs: Optional[dict[str, ProofDecl]] = None,
+                 argument_spans: Optional[dict[str, SourceSpan]] = None):
+        self.graph = ArgumentGraph() if graph is None else graph
+        self.dialogues = {} if dialogues is None else dialogues
+        self.proofs = {} if proofs is None else proofs
+        self.argument_spans = {} if argument_spans is None else argument_spans
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.graph, self.dialogues, self.proofs) == (
+            other.graph, other.dialogues, other.proofs)
+
+    def __repr__(self):
+        return (f"Document(graph={self.graph!r}, "
+                f"dialogues={self.dialogues!r}, proofs={self.proofs!r})")
 
 
 class _Parser:

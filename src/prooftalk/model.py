@@ -9,7 +9,6 @@ or as backing for another.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -28,18 +27,21 @@ class QualifierKind(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class Qualifier:
+class _QualifierFields(NamedTuple):
     kind: QualifierKind
     label: Optional[str] = None
 
-    def __post_init__(self):
-        if self.kind is QualifierKind.CUSTOM:
-            if not self.label:
+
+class Qualifier(_QualifierFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: QualifierKind, label: Optional[str] = None):
+        if kind is QualifierKind.CUSTOM:
+            if not label:
                 raise ValueError("custom qualifier requires a label")
-        elif self.label is None:  # almost_certainly reads "almost certainly"
-            object.__setattr__(self, "label",
-                               self.kind.value.replace("_", " "))
+        elif label is None:  # almost_certainly reads "almost certainly"
+            label = kind.value.replace("_", " ")
+        return super().__new__(cls, kind, label)
 
 
 class ToulminArgument(NamedTuple):
@@ -66,16 +68,27 @@ class Link(NamedTuple):
 _LINK_SOURCE = attrgetter("source")
 
 
-@dataclass
 class ArgumentGraph:
     """Links are kept sorted: construction sorts them, and `add_link`
-    inserts each new one in order."""
-    propositions: dict[str, Proposition] = field(default_factory=dict)
-    arguments: dict[str, ToulminArgument] = field(default_factory=dict)
-    links: tuple[Link, ...] = ()
+    inserts each new one in order.  The parser fills a graph in place."""
+    __slots__ = ("propositions", "arguments", "links")
 
-    def __post_init__(self) -> None:
-        self.links = tuple(sorted(self.links))
+    def __init__(self, propositions: Optional[dict[str, Proposition]] = None,
+                 arguments: Optional[dict[str, ToulminArgument]] = None,
+                 links: tuple[Link, ...] = ()):
+        self.propositions = {} if propositions is None else propositions
+        self.arguments = {} if arguments is None else arguments
+        self.links = tuple(sorted(links))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.propositions, self.arguments, self.links) == (
+            other.propositions, other.arguments, other.links)
+
+    def __repr__(self):
+        return (f"ArgumentGraph(propositions={self.propositions!r}, "
+                f"arguments={self.arguments!r}, links={self.links!r})")
 
 
 class Severity(str, Enum):

@@ -10,7 +10,6 @@ assessment combines per-type outcomes into a single verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -34,18 +33,24 @@ class AsymmetryDirection(str, Enum):
     PROVER_LACKS = "prover_lacks"
 
 
-@dataclass(frozen=True)
-class InitialSituation:
+class _InitialSituationFields(NamedTuple):
     variant: SituationKind
     asymmetry_direction: Optional[AsymmetryDirection] = None
     irreconcilable: bool = False
 
-    def __post_init__(self):
-        if (self.asymmetry_direction is not None) != (
-                self.variant is SituationKind.INFO_ASYMMETRY):
+
+class InitialSituation(_InitialSituationFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        situation = super().__new__(cls, *args, **kwargs)
+        if (situation.asymmetry_direction is not None) != (
+                situation.variant is SituationKind.INFO_ASYMMETRY):
             raise ValueError("asymmetry_direction applies only to info asymmetry")
-        if self.irreconcilable and self.variant is not SituationKind.CONFLICT:
+        if (situation.irreconcilable
+                and situation.variant is not SituationKind.CONFLICT):
             raise ValueError("irreconcilable applies only to conflicts")
+        return situation
 
 
 class NoDispute(NamedTuple):

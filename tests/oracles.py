@@ -21,7 +21,7 @@ closure written out in both the declared-shift and the drift branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from prooftalk.engine import (
@@ -133,7 +133,7 @@ def add_link(graph: ArgumentGraph, source: str, target: str,
     new_links = tuple(sorted(graph.links + (link,)))
     if has_cycle(new_links):
         raise CycleError(f"link {source}->{target} would close a support cycle")
-    return replace(graph, links=new_links)
+    return ArgumentGraph(graph.propositions, graph.arguments, new_links)
 
 
 def unanswered_challenge(state: DialogueState) -> Optional[str]:
@@ -251,9 +251,9 @@ def apply_move(state: DialogueState, move: Move) -> DialogueState:
     history = state.history + (move,)
 
     if move.kind is MoveKind.CLOSE:
-        return replace(state, history=history, phase=Phase.CLOSED)
+        return state._replace(history=history, phase=Phase.CLOSED)
     if move.kind is MoveKind.DECLARE_SHIFT:
-        return replace(state, history=history, current_type=move.subject)
+        return state._replace(history=history, current_type=move.subject)
 
     stores = list(state.stores)
     idx = next(i for i, s in enumerate(stores) if s.owner == move.speaker)
@@ -266,7 +266,7 @@ def apply_move(state: DialogueState, move: Move) -> DialogueState:
     elif move.kind is MoveKind.RETRACT:
         stores[idx] = without(stores[idx], move.subject)
     # challenge/question/offer/threat leave stores unchanged
-    return replace(state, history=history, stores=tuple(stores))
+    return state._replace(history=history, stores=tuple(stores))
 
 
 def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
@@ -283,7 +283,7 @@ def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
     state = initial
     for move in moves:
         if move.turn in switch_at:
-            state = replace(state, current_type=switch_at[move.turn])
+            state = state._replace(current_type=switch_at[move.turn])
         try:
             state = apply_move(state, move)
         except ProtocolViolation as exc:

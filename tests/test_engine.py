@@ -85,6 +85,22 @@ class TestNewDialogue:
             inquiry_state().store_of("z")
 
 
+class TestDialogueState:
+    def test_operative_type_defaults_to_the_declared_type(self):
+        state = DialogueState(DialogueType.INQUIRY, "p1", participants(), ())
+        assert state.current_type is DialogueType.INQUIRY
+        state = DialogueState(DialogueType.INQUIRY, "p1", participants(), (),
+                              current_type=DialogueType.DELIBERATION)
+        assert state.current_type is DialogueType.DELIBERATION
+
+    def test_fields_cannot_be_assigned(self):
+        state = apply_move(inquiry_state(),
+                           Move(1, "alice", MoveKind.ASSERT, "p1"))
+        assert type(state) is DialogueState
+        with pytest.raises(AttributeError):
+            state.phase = Phase.CLOSED
+
+
 class TestApplyMove:
     def test_assert_adds_affirmed(self):
         state = apply_move(inquiry_state(),

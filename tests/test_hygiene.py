@@ -5,11 +5,12 @@ pipeline rather than the layers beneath it), and the CLI is the one
 module that writes JSON.  The move check returns the rule a move breaks,
 so `apply_move` is the one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
-takes, plain records are named tuples, with a dataclass kept only
-where a record checks or derives a field or the parser mutates it,
-every public module-level name has a caller (in the package, the
-acceptance tests or a named file of the benchmark), and no compiled pattern
-needs a newer Python than the one pyproject.toml declares.  The code
+takes; no module imports `dataclasses` (plain and checked records are
+named tuples, and the records the parser fills are plain classes), and
+importing the CLI in a fresh interpreter loads neither `dataclasses` nor
+`inspect`; every public module-level name has a caller (in the package,
+the acceptance tests or a named file of the benchmark), and no compiled
+pattern needs a newer Python than the one pyproject.toml declares.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
 from its class and builds no generator: no test times the replay, so
@@ -118,21 +119,25 @@ def test_cli_imports_neither_engine_nor_shifts():
     assert not {"engine", "shifts"} & imported_modules(tree_of("cli.py"))
 
 
-def is_json(module):
-    """`json` or one of its submodules; None for a relative import."""
-    return module is not None and module.partition(".")[0] == "json"
+def importers_of(stdlib):
+    """The package files with an import, anywhere in the tree, of the
+    module `stdlib` or one of its submodules."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(tree_of(path.name)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == stdlib for m in modules):
+                found.add(path.name)
+    return found
 
 
 def test_only_the_cli_imports_json():
-    importers = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(tree_of(path.name)):
-            if (isinstance(node, ast.Import)
-                    and any(is_json(a.name) for a in node.names)
-                    or isinstance(node, ast.ImportFrom)
-                    and is_json(node.module)):
-                importers.add(path.name)
-    assert importers == {"cli.py"}
+    assert importers_of("json") == {"cli.py"}
 
 
 def names(node, name):
@@ -212,26 +217,20 @@ def test_readme_commands_name_every_parser_option():
     assert readme_synopses() == parser_options()
 
 
-def decorated_dataclasses():
-    """Every class in the package under `@dataclass` or
-    `@dataclasses.dataclass`, called or not."""
-    found = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(tree_of(path.name)):
-            if isinstance(node, ast.ClassDef) and any(
-                    getattr(n, "id", getattr(n, "attr", None)) == "dataclass"
-                    for d in node.decorator_list for n in ast.walk(d)):
-                found.add(node.name)
-    return found
+def test_no_module_imports_dataclasses():
+    # A record that checks or derives a field is a named tuple with a
+    # checking `__new__`; one the parser fills is a plain class.
+    assert importers_of("dataclasses") == set()
 
 
-def test_dataclasses_are_only_the_checked_or_mutated_records():
-    # Qualifier and InitialSituation check their fields, DialogueState
-    # derives current_type, and the parser fills ArgumentGraph and
-    # Document in place.
-    assert decorated_dataclasses() == {
-        "Qualifier", "InitialSituation", "DialogueState",
-        "ArgumentGraph", "Document"}
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Each costs start-up time on every command.  -S, so that no site
+    # .pth file loads them first.
+    script = "import sys, prooftalk.cli\nprint(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert not {"dataclasses", "inspect"} & set(out.split())
 
 
 # Public names with no caller in the package or the acceptance tests,

@@ -520,6 +520,19 @@ class TestStatements:
         assert peak <= 1.05 * retained
 
 
+class TestDocument:
+    def test_instances_share_no_dict(self):
+        a, b = Document(), Document()
+        assert a.graph is not b.graph
+        for name in ("dialogues", "proofs", "argument_spans"):
+            assert getattr(a, name) is not getattr(b, name)
+
+    def test_equality_ignores_argument_spans(self):
+        spanned = Document(argument_spans={"a1": SourceSpan(1, 1, 0, 8)})
+        assert spanned == Document()
+        assert Document(proofs={"p": ProofDecl("p", ())}) != Document()
+
+
 class TestSerialize:
     def test_empty_document(self):
         assert serialize(Document()) == ""

@@ -93,6 +93,26 @@ class TestQualifier:
         with pytest.raises(ValueError):
             Qualifier(QualifierKind.CUSTOM)
 
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            Qualifier(QualifierKind.PROBABLY).label = "surely"
+
+
+class TestArgumentGraph:
+    def test_instances_share_no_dict(self):
+        a, b = ArgumentGraph(), ArgumentGraph()
+        assert a.propositions is not b.propositions
+        assert a.arguments is not b.arguments
+
+    def test_construction_sorts_the_links(self):
+        links = (Link("b", "c", LinkRole.DATUM),
+                 Link("a", "c", LinkRole.BACKING),
+                 Link("a", "b", LinkRole.DATUM))
+        graph = ArgumentGraph({}, {}, links)
+        assert graph.links == tuple(sorted(links)) != links
+        assert graph == ArgumentGraph({}, {}, links[::-1])
+        assert graph != ArgumentGraph()
+
 
 def chain_graph(n):
     """n arguments a0..a(n-1); claim of each is a datum of the next."""

@@ -82,6 +82,10 @@ class TestInferInitialSituation:
         with pytest.raises(ValueError):
             InitialSituation(variant, direction, irreconcilable)
 
+    def test_situation_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            InitialSituation(SituationKind.CONFLICT).irreconcilable = True
+
 
 SITUATIONS = {
     SituationKind.CONFLICT: InitialSituation(SituationKind.CONFLICT),
