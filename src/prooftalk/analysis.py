@@ -1,58 +1,40 @@
-"""Per-document analysis: the reports of `classify` and `analyze`.
+"""Per-document analysis: the outputs of `classify` and `analyze`.
 
 Each dialogue is opened, segmented once, replayed against its segments,
-its shifts judged and its goal tested; the dialogues' outcomes then give
-each proof its status.
+its shifts judged and its goal tested, into one outcome.  The outcomes
+give each proof its status, and every output is rendered from them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .engine import (
-    Polarity,
-    StanceMismatch,
-    goal_achieved,
-    new_dialogue,
-    replay_moves,
-)
+from .engine import (DialogueState, GoalVerdict, Polarity, StanceMismatch,
+                     ViolationInfo, goal_achieved, new_dialogue, replay_moves)
 from .markup import DialogueDecl, Document
 from .shifts import detect_shifts, segment_moves
 from .typology import (
-    GOAL_OF_TYPE,
-    DialogueType,
-    InitialSituation,
-    NoDispute,
-    Outcome,
-    ProofDialogueType,
-    SituationKind,
-    UndefinedCell,
-    assess_proof_status,
-    classify_proof_dialogue,
-    infer_initial_situation,
-    proof_dialogue_row,
-)
+    GOAL_OF_TYPE, DialogueType, InitialSituation, NoDispute, Outcome,
+    ProofDialogueType, ProofStatus, SituationKind, UndefinedCell,
+    assess_proof_status, classify_proof_dialogue, infer_initial_situation,
+    proof_dialogue_row)
 
 # Read per commitment: a dict lookup is cheaper than the `value` property.
 _POLARITY_NAME = {pol: pol.value for pol in Polarity}
 
 
-def _classify(decl: DialogueDecl) -> tuple[dict, Optional[ProofDialogueType]]:
-    """The dialogue's classification entry and its proof-dialogue row,
-    None when no row applies."""
-    prover, interlocutor = decl.participants[0], decl.participants[1]
-    situation = infer_initial_situation(
-        prover.initial_stance, interlocutor.initial_stance)
+def _classify(decl: DialogueDecl) -> tuple[Optional[ProofDialogueType], dict]:
+    """The dialogue's proof-dialogue row, None when no row applies, and
+    its classification entry."""
+    situation = infer_initial_situation(decl.participants[0].initial_stance,
+                                        decl.participants[1].initial_stance)
     goal = GOAL_OF_TYPE[decl.declared_type]
-    entry: dict = {
-        "declared_type": decl.declared_type.value,
-        "main_goal": goal.value,
-    }
+    entry: dict = {"declared_type": decl.declared_type.value,
+                   "main_goal": goal.value}
     if isinstance(situation, NoDispute):
-        entry["initial_situation"] = "no_dispute"
-        entry["proof_dialogue"] = None
-        entry["note"] = "participants already agree; no dialogue arises"
-        return entry, None
+        entry.update(initial_situation="no_dispute", proof_dialogue=None,
+                     note="participants already agree; no dialogue arises")
+        return None, entry
     # Eristic and debate treat a conflict as one that cannot be reconciled.
     if decl.declared_type in (DialogueType.ERISTIC, DialogueType.DEBATE) \
             and situation.variant is SituationKind.CONFLICT:
@@ -63,87 +45,142 @@ def _classify(decl: DialogueDecl) -> tuple[dict, Optional[ProofDialogueType]]:
     try:
         pd = classify_proof_dialogue(situation, goal)
     except UndefinedCell as exc:
-        entry["proof_dialogue"] = None
-        entry["note"] = str(exc)
-        return entry, None
+        entry.update(proof_dialogue=None, note=str(exc))
+        return None, entry
     entry["proof_dialogue"] = pd.value
     entry["suspect"] = proof_dialogue_row(pd).suspect
-    return entry, pd
+    return pd, entry
 
 
 def classify_document(doc: Document) -> dict:
     """Dialogue name -> classification entry: the `classify` report."""
-    return {name: _classify(decl)[0] for name, decl in doc.dialogues.items()}
+    return {name: _classify(decl)[1] for name, decl in doc.dialogues.items()}
 
 
-def _analyze_dialogue(decl: DialogueDecl
-                      ) -> tuple[dict, Optional[ProofDialogueType], bool]:
-    """The dialogue's entry, its proof-dialogue row, and whether it
-    reached its goal without a protocol violation."""
-    initial = new_dialogue(
-        decl.declared_type, decl.crucial, decl.participants, decl.settlement)
+def classify_text(doc: Document) -> str:
+    """The `classify` text: a line per dialogue, by name."""
+    return "\n".join(
+        f"{name}: {e['declared_type']} ({e['initial_situation']} / "
+        f"{e['main_goal']}) -> {e['proof_dialogue'] or 'undefined'}"
+        for name, e in sorted(classify_document(doc).items())) + "\n"
+
+
+class DialogueOutcome(NamedTuple):
+    """A dialogue's outcome; a stance mismatch gives the name and error only."""
+    name: str
+    row: Optional[ProofDialogueType] = None  # None when no row applies
+    classification: Optional[dict] = None
+    verdict: Optional[GoalVerdict] = None
+    violation: Optional[ViolationInfo] = None  # the first one
+    state: Optional[DialogueState] = None  # at close: stores and phase
+    segments: Optional[list] = None
+    shifts: Optional[list] = None
+    error: Optional[str] = None  # the StanceMismatch message
+
+    @property
+    def succeeded(self) -> bool:
+        """Whether it reached its goal without a protocol violation."""
+        return self.violation is None and self.verdict.achieved
+
+    def entry(self) -> dict:
+        """The dialogue's entry in the `analyze` report."""
+        if self.error is not None:
+            return {"dialogue_id": self.name, "error": self.error}
+        v = self.violation
+        return {
+            "dialogue_id": self.name,
+            "final_phase": self.state.phase.value,
+            "goal": {"achieved": self.verdict.achieved,
+                     "reason": self.verdict.reason},
+            "violations": [] if v is None else [{"turn": v.turn, "rule": v.rule}],
+            "stores": {s.owner: sorted([p, _POLARITY_NAME[pol]]
+                                       for p, pol in s.commitments)
+                       for s in self.state.stores},
+            "segments": [
+                {"start_turn": s.start_turn, "end_turn": s.end_turn,
+                 "type": s.operative_type.value, "declared": s.declared}
+                for s in self.segments],
+            "shifts": [
+                {"at_turn": s.at_turn, "from": s.from_type.value,
+                 "to": s.to_type.value, "kind": s.kind.value,
+                 "mode": s.mode.value, "licitness": s.licitness.value,
+                 "reason": s.reason}
+                for s in self.shifts],
+            "classification": self.classification,
+        }
+
+    def line(self) -> str:
+        """The dialogue's line in the `analyze` text."""
+        if self.error is not None:
+            return f"{self.name}: error: {self.error}"
+        goal = "achieved" if self.verdict.achieved else "not achieved"
+        line = (f"{self.name}: goal {goal} ({self.verdict.reason}); "
+                f"{len(self.shifts)} shift(s)")
+        if self.violation is not None:  # the replay stops at the first
+            line += (f"; 1 violation(s), first: {self.violation.rule} "
+                     f"at turn {self.violation.turn}")
+        return line
+
+
+def _outcome(decl: DialogueDecl) -> DialogueOutcome:
+    try:
+        initial = new_dialogue(decl.declared_type, decl.crucial,
+                               decl.participants, decl.settlement)
+    except StanceMismatch as exc:
+        return DialogueOutcome(decl.name, error=str(exc))
     segments = segment_moves(decl.moves, decl.declared_type)
     result = replay_moves(initial, decl.moves, segments)
-    state = result.state
-    verdict = goal_achieved(state)
-    classification, pd = _classify(decl)
-    entry = {
-        "dialogue_id": decl.name,
-        "final_phase": state.phase.value,
-        "goal": {"achieved": verdict.achieved, "reason": verdict.reason},
-        "violations": ([] if result.ok else
-                       [{"turn": result.violation.turn,
-                         "rule": result.violation.rule}]),
-        "stores": {
-            s.owner: sorted([p, _POLARITY_NAME[pol]]
-                            for p, pol in s.commitments)
-            for s in state.stores
-        },
-        "segments": [
-            {"start_turn": s.start_turn, "end_turn": s.end_turn,
-             "type": s.operative_type.value, "declared": s.declared}
-            for s in segments
-        ],
-        "shifts": [
-            {"at_turn": s.at_turn, "from": s.from_type.value,
-             "to": s.to_type.value, "kind": s.kind.value,
-             "mode": s.mode.value, "licitness": s.licitness.value,
-             "reason": s.reason}
-            for s in detect_shifts(segments, decl.declared_type)
-        ],
-        "classification": classification,
-    }
-    return entry, pd, verdict.achieved and result.ok
+    return DialogueOutcome(
+        decl.name, *_classify(decl), goal_achieved(result.state),
+        result.violation, result.state, segments,
+        detect_shifts(segments, decl.declared_type))
 
 
-def analyze_document(doc: Document) -> dict:
-    """The `analyze` report: an entry per dialogue and per proof, by name.
+class Analysis(NamedTuple):
+    """Each dialogue's outcome and each proof's rows and status, by name."""
+    dialogues: list[DialogueOutcome]
+    proofs: list[tuple[str, dict[ProofDialogueType, Outcome], ProofStatus]]
 
-    A dialogue whose stances do not fit its type gets an `error` entry.
-    """
-    dialogues = []
-    outcome_of: dict[str, tuple[ProofDialogueType, Outcome]] = {}
-    for name in sorted(doc.dialogues):
-        try:
-            entry, pd, ok = _analyze_dialogue(doc.dialogues[name])
-        except StanceMismatch as exc:
-            dialogues.append({"dialogue_id": name, "error": str(exc)})
-            continue
-        dialogues.append(entry)
-        if pd is not None:
-            outcome_of[name] = (pd, Outcome.SUCCESS if ok else Outcome.FAILURE)
+    def report(self) -> dict:
+        """The `analyze` JSON report: an entry per dialogue and per proof."""
+        return {"dialogues": [d.entry() for d in self.dialogues], "proofs": [
+            {"proof_id": name,
+             "outcomes": {t.value: o.value for t, o in outcomes.items()},
+             "status": status.variant.value,
+             "diagnostics": list(status.diagnostics)}
+            for name, outcomes, status in self.proofs]}
 
+    def text(self) -> str:
+        """The `analyze` text: a line per dialogue, then per proof."""
+        return "\n".join([d.line() for d in self.dialogues] + [
+            f"proof {name}: {status.variant.value}"
+            for name, _, status in self.proofs]) + "\n"
+
+    @property
+    def exit_status(self) -> int:
+        """1 when a dialogue has an error or a protocol violation, else 0."""
+        return 1 if any(d.error is not None or d.violation is not None
+                        for d in self.dialogues) else 0
+
+
+def analyze(doc: Document) -> Analysis:
+    """Each dialogue's outcome, then each proof's status from them."""
+    dialogues = [_outcome(doc.dialogues[name]) for name in sorted(doc.dialogues)]
+    # A dialogue with an error, or with no row, feeds no proof.
+    outcome_of = {
+        d.name: (d.row, Outcome.SUCCESS if d.succeeded else Outcome.FAILURE)
+        for d in dialogues if d.row is not None}
     proofs = []
     for name in sorted(doc.proofs):
         # One outcome per proof-dialogue row: when several of the listed
         # dialogues fall in one row, the last one listed decides it.
         outcomes = dict(outcome_of[d] for d in doc.proofs[name].dialogues
                         if d in outcome_of)
-        verdict = assess_proof_status(outcomes)
-        proofs.append({
-            "proof_id": name,
-            "outcomes": {t.value: o.value for t, o in outcomes.items()},
-            "status": verdict.variant.value,
-            "diagnostics": list(verdict.diagnostics),
-        })
-    return {"dialogues": dialogues, "proofs": proofs}
+        proofs.append((name, outcomes, assess_proof_status(outcomes)))
+    return Analysis(dialogues, proofs)
+
+
+def analyze_document(doc: Document) -> dict:
+    """The `analyze` report; a dialogue whose stances do not fit its type
+    gets an `error` entry."""
+    return analyze(doc).report()

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import markup, typology
-from .analysis import analyze_document, classify_document
+from .analysis import analyze, classify_document, classify_text
 from .model import Severity, export_dot, validate_graph
 
 EXIT_OK = 0
@@ -149,16 +149,9 @@ def cmd_classify(args) -> int:
     doc = _load(args.path)
     if isinstance(doc, int):
         return doc
-    report = classify_document(doc)
-    if args.format == "json":
-        return _emit(_json(report), args.out)
-    lines = []
-    for name in sorted(report):
-        e = report[name]
-        lines.append(f"{name}: {e['declared_type']} "
-                     f"({e['initial_situation']} / {e['main_goal']}) "
-                     f"-> {e['proof_dialogue'] or 'undefined'}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    text = (classify_text(doc) if args.format == "text"
+            else _json(classify_document(doc)))
+    return _emit(text, args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -169,29 +162,9 @@ def cmd_analyze(args) -> int:
         print(f"{args.path}: error: document contains no dialogues",
               file=sys.stderr)
         return EXIT_USAGE
-
-    report = analyze_document(doc)
-    if args.format == "text":
-        lines = []
-        for e in report["dialogues"]:
-            if "error" in e:
-                lines.append(f"{e['dialogue_id']}: error: {e['error']}")
-                continue
-            goal = "achieved" if e["goal"]["achieved"] else "not achieved"
-            line = (f"{e['dialogue_id']}: goal {goal} "
-                    f"({e['goal']['reason']}); {len(e['shifts'])} shift(s)")
-            if e["violations"]:
-                first = e["violations"][0]
-                line += (f"; {len(e['violations'])} violation(s), first: "
-                         f"{first['rule']} at turn {first['turn']}")
-            lines.append(line)
-        for e in report["proofs"]:
-            lines.append(f"proof {e['proof_id']}: {e['status']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json(report)
-    failed = any("error" in e or e["violations"] for e in report["dialogues"])
-    return _emit(text, args.out) or (EXIT_DOMAIN if failed else EXIT_OK)
+    result = analyze(doc)
+    text = result.text() if args.format == "text" else _json(result.report())
+    return _emit(text, args.out) or result.exit_status
 
 
 def cmd_report(args) -> int:

@@ -462,10 +462,6 @@ class ReplayResult(NamedTuple):
     state: DialogueState  # final state, or the snapshot before the violation
     violation: Optional[ViolationInfo] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
 
 def replay_moves(initial: DialogueState, moves: tuple[Move, ...],
                  segments: list) -> ReplayResult:

@@ -535,6 +535,7 @@ class _Parser:
 
         single: dict = {}  # type, settlement
         order: list[str] = []
+        seen: set[str] = set()  # the ids in `order`
         order_tok = name_tok
         stances: dict[str, Stance] = {}
         crucial: Optional[str] = None
@@ -550,9 +551,10 @@ class _Parser:
                 order_tok = entry
                 if self.expect("colon"):
                     for ident in self.ident_list("participant id"):
-                        if ident[1] in order:
+                        if ident[1] in seen:
                             self.error("fresh participant id", ident,
                                        "duplicate participant")
+                        seen.add(ident[1])
                         order.append(ident[1])
             elif word == "stance":
                 pid = self.expect("ident", "participant id")
@@ -610,7 +612,7 @@ class _Parser:
                         stances.get(pid, Stance.UNKNOWN))
             for i, pid in enumerate(order))
         for pid in stances:
-            if pid not in order:
+            if pid not in seen:
                 self.error("declared participant", name_tok,
                            f"stance for unknown participant '{pid}'")
         self.doc.dialogues[name] = DialogueDecl(

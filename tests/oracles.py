@@ -17,6 +17,9 @@ that rescanned the later segments at each shift, and took the declared
 type as a turn-0 segment spliced in front, is kept as it was, and so is
 the segmentation that closed the segment before each boundary through a
 closure written out in both the declared-shift and the drift branch.
+The text outputs of `classify` and `analyze` are kept as the CLI built
+them, by reading the fields of the JSON report back, with the rule that
+made `analyze` exit 1.
 """
 
 from __future__ import annotations
@@ -984,3 +987,39 @@ SITUATION_OF_TYPE: dict[DialogueType, SituationKind] = {
     DialogueType.INFORMATION_SEEKING: SituationKind.INFO_ASYMMETRY,
     DialogueType.PEDAGOGICAL: SituationKind.INFO_ASYMMETRY,
 }
+
+
+# The text outputs as `cli.cmd_classify` and `cli.cmd_analyze` built
+# them from the JSON report, and `cmd_analyze`'s exit status.
+def classify_text(report: dict) -> str:
+    lines = []
+    for name in sorted(report):
+        e = report[name]
+        lines.append(f"{name}: {e['declared_type']} "
+                     f"({e['initial_situation']} / {e['main_goal']}) "
+                     f"-> {e['proof_dialogue'] or 'undefined'}")
+    return "\n".join(lines) + "\n"
+
+
+def analyze_text(report: dict) -> str:
+    lines = []
+    for e in report["dialogues"]:
+        if "error" in e:
+            lines.append(f"{e['dialogue_id']}: error: {e['error']}")
+            continue
+        goal = "achieved" if e["goal"]["achieved"] else "not achieved"
+        line = (f"{e['dialogue_id']}: goal {goal} "
+                f"({e['goal']['reason']}); {len(e['shifts'])} shift(s)")
+        if e["violations"]:
+            first = e["violations"][0]
+            line += (f"; {len(e['violations'])} violation(s), first: "
+                     f"{first['rule']} at turn {first['turn']}")
+        lines.append(line)
+    for e in report["proofs"]:
+        lines.append(f"proof {e['proof_id']}: {e['status']}")
+    return "\n".join(lines) + "\n"
+
+
+def analyze_exit_status(report: dict) -> int:
+    failed = any("error" in e or e["violations"] for e in report["dialogues"])
+    return 1 if failed else 0

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
 from test_fuzz import NEAR_MISSES, documents as fragment_documents
@@ -708,6 +708,54 @@ def test_fixture_output_matches_golden(case, monkeypatch, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     assert {"exit": code, "stdout": out, "stderr": err} == GOLDEN[case]
+
+
+def assert_text_matches_reference(path, capsys):
+    """`classify` and `analyze` give as text what the reference builds
+    from their JSON report, with the same exit status."""
+    for command in ("classify", "analyze"):
+        code = main([command, str(path), "--format", "json"])
+        report, err = capsys.readouterr()
+        text_code = main([command, str(path), "--format", "text"])
+        text, text_err = capsys.readouterr()
+        if code == 2:  # not loaded, or no dialogues to analyze
+            assert (text, text_err, text_code) == ("", err, 2)
+            continue
+        report = json.loads(report)
+        if command == "classify":
+            want = (oracles.classify_text(report), 0)
+        else:
+            want = (oracles.analyze_text(report),
+                    oracles.analyze_exit_status(report))
+        assert (text, text_code) == want and code == want[1]
+
+
+STANCE_MISMATCH = ('prop p: "x"\ndialogue "d" {\n  type: inquiry\n'
+                   '  participants: a, b\n  stance a p: true\n'
+                   '  stance b p: false\n}\n')
+TEXT_CASES = {
+    **{f"plant_{plant}": dialogues.make_document(f"text:{plant}", 100, plant)[0]
+       for plant in dialogues.PLANTS},
+    "stance_mismatch": STANCE_MISMATCH,
+    **{path.stem: path.read_text(encoding="utf-8") for path in fixture_paths()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_text_output_matches_reference(case, tmp_path, capsys):
+    # The plants hold a violation, an unanswered challenge and a drift.
+    path = tmp_path / f"{case}.arg"
+    path.write_text(TEXT_CASES[case], encoding="utf-8")
+    assert_text_matches_reference(path, capsys)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fragment_documents)
+def test_text_output_matches_reference_on_fragments(tmp_path, capsys, source):
+    path = tmp_path / "fragments.arg"
+    path.write_text(source, encoding="utf-8")
+    assert_text_matches_reference(path, capsys)
 
 
 def test_cli_runs_as_a_module():

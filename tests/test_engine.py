@@ -360,7 +360,7 @@ class TestReplay:
     def test_empty_moves_returns_initial(self):
         initial = inquiry_state()
         result = replay_moves(initial, (), [])
-        assert result.ok
+        assert result.violation is None
         assert result.state == initial
 
     def test_out_of_order_turns_reported(self):
@@ -368,7 +368,7 @@ class TestReplay:
             Move(1, "alice", MoveKind.ASSERT, "p1"),
             Move(3, "bob", MoveKind.QUESTION, "p1"),
         ))
-        assert not result.ok
+        assert result.violation is not None
         assert result.violation.turn == 3
         assert result.violation.rule == "turn-out-of-order"
         # snapshot precedes the offending move
@@ -384,7 +384,7 @@ class TestReplay:
         drift = [Segment(1, 1, DialogueType.INQUIRY, False),
                  Segment(2, 2, DialogueType.DELIBERATION, False)]
         result = replay_moves(inquiry_state(), moves, drift)
-        assert result.ok
+        assert result.violation is None
         assert result.state.current_type is DialogueType.DELIBERATION
 
     def test_drift_at_the_first_move_switches_operative_type(self):
@@ -396,7 +396,7 @@ class TestReplay:
         assert segments == [Segment(1, 2, DialogueType.DELIBERATION, False,
                                     sharp=False)]
         result = replay_moves(inquiry_state(), moves, segments)
-        assert result.ok
+        assert result.violation is None
         assert result.state.current_type is DialogueType.DELIBERATION
 
     def test_wiles_fixture_persuasion_fails(self, corpus):
@@ -404,7 +404,7 @@ class TestReplay:
         initial = new_dialogue(decl.declared_type, decl.crucial,
                                decl.participants)
         result = replay(initial, decl.moves)
-        assert result.ok
+        assert result.violation is None
         verdict = goal_achieved(result.state)
         assert not verdict.achieved
 
@@ -416,7 +416,7 @@ class TestReplay:
                 initial = new_dialogue(decl.declared_type, decl.crucial,
                                        decl.participants, decl.settlement)
                 result = replay(initial, decl.moves)
-                assert result.ok
+                assert result.violation is None
                 for store in result.state.stores:
                     for prop, pol in store.commitments:
                         events = [

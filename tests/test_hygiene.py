@@ -1,15 +1,16 @@
 """Source hygiene, read from the syntax tree of each module: no unused
 imports, and the layering the analysis pipeline relies on (the engine
 does not reach up into shift analysis; the CLI goes through the
-pipeline rather than the layers beneath it), and the CLI is the one
-module that writes JSON.  The move check returns the rule a move breaks,
-so `apply_move` is the one place that raises it as `ProtocolViolation`.
+pipeline rather than the layers beneath it, and reads no field of the
+reports it writes), and the CLI is the one module that writes JSON.
+The move check returns the rule a move breaks, so `apply_move` is the
+one place that raises it as `ProtocolViolation`.
 Also: README's command synopses name exactly the options the CLI parser
 takes; no module imports `dataclasses` (plain and checked records are
 named tuples, and the records the parser fills are plain classes), and
 importing the CLI in a fresh interpreter loads neither `dataclasses` nor
 `inspect`; every public module-level name has a caller (in the package,
-the acceptance tests or a named file of the benchmark), and no compiled
+the acceptance tests or a named file outside the package), and no compiled
 pattern needs a newer Python than the one pyproject.toml declares.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
@@ -117,6 +118,16 @@ def test_engine_imports_nothing_from_shifts():
 
 def test_cli_imports_neither_engine_nor_shifts():
     assert not {"engine", "shifts"} & imported_modules(tree_of("cli.py"))
+
+
+def test_cli_reads_no_report_field():
+    # `analysis` renders every output from the dialogue outcomes, so the
+    # CLI indexes no report by a field name.
+    fields = [node.lineno for node in ast.walk(tree_of("cli.py"))
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.slice, ast.Constant)
+              and isinstance(node.slice.value, str)]
+    assert fields == []
 
 
 def importers_of(stdlib):
@@ -236,6 +247,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 # Public names with no caller in the package or the acceptance tests,
 # each with the file outside the package that calls it.
 UNCALLED_PUBLIC = {
+    # The report alone; the CLI renders it from `analysis.analyze`.
+    "analysis.analyze_document": "tests/test_analysis.py",
     "markup.tokenize": "perfbench/spans.py",  # traced as its own layer
     "model.add_link": "perfbench/run.py",  # the argument_graphs rebuild
 }

@@ -309,6 +309,19 @@ class TestParseDocument:
         assert (err.span.line, err.span.column) == (4, 3)
         assert (err.expected, err.found) == ("exactly two participants", found)
 
+    def test_long_participant_list_gives_one_error(self):
+        # Each id is checked against the ids seen so far, once.
+        names = ", ".join(f"p{i}" for i in range(16000))
+        src = ('prop p: "x"\n'
+               'dialogue "d" {\n  type: inquiry\n'
+               f'  participants: {names}\n'
+               '  stance p0 p: unknown\n}\n')
+        with pytest.raises(MarkupError) as exc:
+            parse_document(src)
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column) == (4, 3)
+        assert (err.expected, err.found) == ("exactly two participants", "16000")
+
     def test_duplicate_participant_id(self):
         src = ('prop p: "x"\n'
                'dialogue "d" {\n  type: inquiry\n  participants: a, a\n'
