@@ -93,8 +93,9 @@ class DialogueOutcome(NamedTuple):
             "goal": {"achieved": self.verdict.achieved,
                      "reason": self.verdict.reason},
             "violations": [] if v is None else [{"turn": v.turn, "rule": v.rule}],
-            "stores": {s.owner: sorted([p, _POLARITY_NAME[pol]]
-                                       for p, pol in s.commitments)
+            # The (proposition, polarity) pairs sort in C, by proposition.
+            "stores": {s.owner: [[p, _POLARITY_NAME[pol]]
+                                 for p, pol in sorted(s.commitments)]
                        for s in self.state.stores},
             "segments": [
                 {"start_turn": s.start_turn, "end_turn": s.end_turn,

@@ -10,8 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
 from pathlib import Path
+
+try:  # CPython's accelerator, without the rest of the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import markup, typology
 from .analysis import analyze, classify_document, classify_text
@@ -57,14 +62,37 @@ def _scalar(value) -> str:
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _rows(rows: list, indent: str) -> str | None:
+    """The JSON text of a list of equal-width, non-empty lists of strings,
+    nested at the indent, or None for a list of any other shape: every
+    string is quoted in one pass and fills one row template."""
+    width = len(rows[0])
+    if not width or set(map(type, rows)) != {list} \
+            or set(map(len, rows)) != {width}:
+        return None
+    try:
+        cells = tuple(map(_quote, chain.from_iterable(rows)))
+    except TypeError:  # a cell that is not a string
+        return None
+    inner, cell = indent + "  ", indent + "    "
+    row = "[" + cell + ("," + cell).join(["%s"] * width) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows))
+            + indent + "]") % cells
+
+
 def _write(value, out: list[str], indent: str) -> None:
     """Append the value's JSON text to out, nested at the indent (a
     newline and the spaces of the value's own line).  Each key and
-    scalar goes out in one piece with the separator before it."""
+    scalar goes out in one piece with the separator before it, and a
+    list of string rows in one piece."""
     keyed = isinstance(value, dict)
     if keyed:
         items, brackets = sorted(value.items()), "{}"
     elif isinstance(value, (list, tuple)):
+        if value and type(value[0]) is list and (
+                text := _rows(value, indent)) is not None:
+            out.append(text)
+            return
         items, brackets = value, "[]"
     else:
         out.append(_scalar(value))

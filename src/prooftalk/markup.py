@@ -67,6 +67,7 @@ QUALIFIER_WORDS = {k.value: k for k in QualifierKind}
 TYPE_WORDS = {t.value: t for t in DialogueType}
 STANCE_WORDS = {s.value: s for s in Stance}
 MOVE_WORDS = {k.value: k for k in MoveKind}
+_DECLARE_SHIFT = MoveKind.DECLARE_SHIFT
 
 # How an expected punctuation token is named in an error message.
 _SHOWN = {"colon": "':'", "lbrace": "'{'", "rbrace": "'}'", "arrow": "'<-'"}
@@ -104,7 +105,10 @@ _ESCAPE = re.compile(r'\\(["\\])')
 # `_ARGUMENT_LINE`, one line each (the last group names the form; groups 2-4
 # of a named slot are word, id and text), and so is a run of `move` lines,
 # or of top-level `prop` lines, with `_MOVE_LINE` or `_PROP_LINE`, whose
-# words are looked up in their tables after the match.
+# words are looked up in their tables after the match.  `Move` and
+# `Proposition` are bare named tuples, whose generated `__new__` only packs
+# its arguments into a tuple: these loops build them with `tuple.__new__`
+# and spare a Python call per line.
 _ID = r"[A-Za-z_]\w*"
 _NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
 _BLOCK_HEAD = re.compile(
@@ -418,8 +422,9 @@ class _Parser:
         """Declare the run of `prop ID: "TEXT"` lines from `pos`, the offset
         of the `prop` just lexed, up to the first line `_PROP_LINE` or a
         keyword id turns away; whether the run held a line."""
-        source, props, match, start = (
-            self.source, self.doc.graph.propositions, _PROP_LINE.match, pos)
+        source, props, match, new, start = (
+            self.source, self.doc.graph.propositions, _PROP_LINE.match,
+            tuple.__new__, pos)
         while line := match(source, pos):
             pid, text = line.groups()
             if pid in KEYWORDS:
@@ -427,7 +432,7 @@ class _Parser:
             if pid in props:
                 self.declare(("ident", pid, line.start(1), len(pid)), text)
             else:
-                props[pid] = Proposition(pid, text)
+                props[pid] = new(Proposition, (pid, text))
             pos = line.end()
         if pos == start:
             return False
@@ -473,9 +478,9 @@ class _Parser:
         whether the run ended with the block's `}`."""
         if self.tok is not None:
             return False
-        source, props, match, keywords, pos = (
+        source, props, match, keywords, new, pos = (
             self.source, self.doc.graph.propositions, _ARGUMENT_LINE.match,
-            KEYWORDS, self.end)
+            KEYWORDS, tuple.__new__, self.end)
         while line := match(source, pos):
             form = line.lastgroup
             if form == "named":
@@ -483,7 +488,7 @@ class _Parser:
                 if pid in keywords:
                     break
                 if (prop := props.get(pid)) is None:
-                    props[pid] = Proposition(pid, text)
+                    props[pid] = new(Proposition, (pid, text))
                 elif prop.text != text:
                     self.declare(("ident", pid, line.start("id"), len(pid)), text)
                 value = pid
@@ -583,7 +588,7 @@ class _Parser:
                 if kind is None:
                     continue
                 subject: Union[str, DialogueType, None] = None
-                if kind is MoveKind.DECLARE_SHIFT:
+                if kind is _DECLARE_SHIFT:
                     subject = self.lookup(TYPE_WORDS, "dialogue type name")
                 elif (subj_tok := self.next())[0] == "ident":
                     subject = subj_tok[1]
@@ -625,9 +630,9 @@ class _Parser:
         keyword speaker or subject turn away; whether the run held a line."""
         source, props, refs, start = (
             self.source, self.doc.graph.propositions, self.pending_refs, pos)
-        match, kinds, types, keywords, shift = (
+        match, kinds, types, keywords, shift, new = (
             _MOVE_LINE.match, MOVE_WORDS.get, TYPE_WORDS.get, KEYWORDS,
-            MoveKind.DECLARE_SHIFT)
+            _DECLARE_SHIFT, tuple.__new__)
         while line := match(source, pos):
             turn, speaker, word, subject = line.groups()
             if (kind := kinds(word)) is None or speaker in keywords:
@@ -639,7 +644,7 @@ class _Parser:
                 break
             elif subject not in props:  # check it later
                 refs.append(("ident", subject, line.start(4), len(subject)))
-            moves.append(Move(int(turn), speaker, kind, subject))
+            moves.append(new(Move, (int(turn), speaker, kind, subject)))
             pos = line.end()
         if pos == start:
             return False

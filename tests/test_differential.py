@@ -776,15 +776,33 @@ json_strings = st.text(st.one_of(
 json_scalars = st.one_of(
     json_strings, st.integers(), st.integers(-2**100, 2**100),
     st.booleans(), st.none())
+# Lists of equal-width string rows, which the writer emits in one step.
+json_rows = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(json_strings, min_size=width, max_size=width), min_size=1))
 json_trees = st.recursive(json_scalars, lambda children: st.one_of(
     st.lists(children), st.lists(children).map(tuple),
-    st.dictionaries(json_strings, children)), max_leaves=40)
+    st.dictionaries(json_strings, children), json_rows), max_leaves=40)
 
 
 @settings(max_examples=300)
 @example({})
 @example([[], (), {"": {}}])
-@given(json_trees)
+@example({"stores": {"a": [["p", "affirmed"], ["q", "denied"]], "b": []}})
+@example([["a", "b"]])  # a single row
+@example([["a", "b"], ["c"]])  # a row of another width
+@example([["a"], []])  # an empty row
+@example([[], ["a"]])
+@example([[], []])
+@example([["a", "b"], ("c", "d")])  # a tuple row among lists
+@example([["a", "b"], "cd"])  # a string, a dict and an int as wide as a row
+@example([["a", "b"], {"c": "d", "e": "f"}])
+@example([["a"], 7])
+@example([["a", 1], ["b", 2]])
+@example([["a", None]])
+@example([["a"], [True]])
+@example([["%", "%s"], ["%%", "100%d"]])
+@example([[Polarity.AFFIRMED, "p"], ["q", Polarity.DENIED]])
+@given(st.one_of(json_trees, json_rows))
 def test_json_writer_matches_stdlib(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 

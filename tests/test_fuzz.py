@@ -6,14 +6,18 @@ located error: an empty custom qualifier label, one- and three-party
 `participants` lines and `uses` lines outside any argument.  Fragments
 also carry CRLF line ends, tabs, a comment that may end the file,
 Unicode identifiers, and near misses of the one-line statements that
-the parser reads with one match.
+the parser reads with one match.  A third kind of document is one
+well-formed dialogue under a proof, whose run of `move` lines may hold
+one near miss, so that draws reach replay and the goal check.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prooftalk.cli import main
-from prooftalk.markup import Document, MarkupError, parse_document
+from prooftalk.markup import (
+    MOVE_WORDS, TYPE_WORDS, Document, MarkupError, parse_document)
+from prooftalk.typology import SITUATION_OF_TYPE, SituationKind
 
 # Edges of the one-line statements that the parser reads with one match:
 # most fall just outside, so the token path reads them (two hold a digit
@@ -54,10 +58,47 @@ EMPTY_LABEL = 'argument "a" {\nqualifier: custom ""\n}'
 
 documents = st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("\n".join)
 
+# Runs of `move` lines, the valid ones numbered in order, with at most
+# one near miss among them, in a well-formed dialogue under a proof, so
+# that draws replay moves.
+MOVE_NEAR_MISSES = [m for m in NEAR_MISSES if m.startswith("move")]
+valid_moves = st.builds(
+    lambda speaker, kind, prop, to: (
+        speaker, kind, to if kind == "declare_shift" else prop),
+    st.sampled_from("xy"), st.sampled_from(sorted(MOVE_WORDS)),
+    st.sampled_from("pq"), st.sampled_from(sorted(TYPE_WORDS)))
+
+
+def number_moves(lines) -> str:
+    """Each (speaker, kind, subject) as the move of its place; near
+    misses as they are."""
+    return "\n".join(line if isinstance(line, str)
+                     else "move {} {} {} {}".format(turn, *line)
+                     for turn, line in enumerate(lines, 1))
+
+
+# Each type with stances that give its situation, and two openings that
+# fit no type: an agreement, and a conflict's type over an open problem.
+STANCES_OF = {SituationKind.CONFLICT: ("true", "false"),
+              SituationKind.OPEN_PROBLEM: ("unknown", "unknown"),
+              SituationKind.INFO_ASYMMETRY: ("unknown", "true")}
+OPENINGS = [(t.value, *STANCES_OF[k]) for t, k in SITUATION_OF_TYPE.items()] + [
+    ("inquiry", "true", "true"), ("persuasion", "unknown", "unknown")]
+dialogue_documents = st.builds(
+    lambda opening, moves: (
+        'prop p: "P"\nprop q: "Q"\ndialogue "d" {{\ntype: {}\n'
+        'participants: x, y\nstance x p: {}\nstance y p: {}\n'.format(*opening)
+        + moves + '\n}\nproof "pr" {\ndialogues: d\n}\n'),
+    st.sampled_from(OPENINGS),
+    st.builds(lambda head, miss, tail: number_moves(head + miss + tail),
+              st.lists(valid_moves, max_size=12),
+              st.lists(st.sampled_from(MOVE_NEAR_MISSES), max_size=1),
+              st.lists(valid_moves, max_size=4)))
+
 
 @settings(max_examples=300)
 @example(EMPTY_LABEL)
-@given(st.one_of(st.text(), documents))
+@given(st.one_of(st.text(), documents, dialogue_documents))
 def test_parse_returns_document_or_raises_markup_error(text):
     try:
         assert isinstance(parse_document(text), Document)
@@ -73,7 +114,7 @@ def test_parse_returns_document_or_raises_markup_error(text):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(EMPTY_LABEL)
-@given(documents)
+@given(documents | dialogue_documents)
 def test_commands_exit_with_a_code(tmp_path, capsys, text):
     path = tmp_path / "fuzz.arg"
     path.write_text(text, encoding="utf-8")

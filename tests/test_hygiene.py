@@ -148,7 +148,7 @@ def importers_of(stdlib):
 
 
 def test_only_the_cli_imports_json():
-    assert importers_of("json") == {"cli.py"}
+    assert importers_of("json") == importers_of("_json") == {"cli.py"}
 
 
 def names(node, name):
@@ -170,10 +170,15 @@ def test_only_apply_move_raises_protocol_violation_and_none_catches_it():
     assert catching == set()
 
 
-# Functions that run once per move or loop over the moves, by module.
+# Functions that run once per move or loop over the moves, by module;
+# markup's run readers loop over statement lines.
 PER_MOVE = {"engine.py": {"_check_move", "_fold", "_unanswered_challenge"},
+            "markup.py": {"read_moves", "read_props", "read_slots"},
             "shifts.py": {"segment_moves"}}
 ENUMS = {"MoveKind", "Polarity", "Phase"}
+# Bare named tuples, which per-move code builds with `tuple.__new__`
+# rather than through their generated `__new__`.
+BARE_RECORDS = {"Move", "Proposition"}
 
 
 @pytest.mark.parametrize("module", sorted(PER_MOVE))
@@ -190,6 +195,9 @@ def test_per_move_code_loads_no_enum_member_and_builds_no_generator(module):
                     f"{node.name}:{n.lineno} loads {n.value.id}.{n.attr}"
                 assert not isinstance(n, ast.GeneratorExp), \
                     f"{node.name}:{n.lineno} builds a generator"
+                built = (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                         and n.func.id in BARE_RECORDS)
+                assert not built, f"{node.name}:{n.lineno} calls {n.func.id}"
     assert found == PER_MOVE[module]
 
 

@@ -504,6 +504,25 @@ class TestStatements:
             QualifierKind.PROBABLY)
         assert lexes <= (100 * 6 - 1) // 10
 
+    def test_run_readers_build_bare_named_tuples(self):
+        # The run readers build `Move` and `Proposition` with
+        # `tuple.__new__`, which gives the record its constructor gives
+        # only while the class is a bare named tuple.
+        assert Move.__bases__ == (tuple,) and Proposition.__bases__ == (tuple,)
+        doc = parse_document(
+            'prop p: "P"\nargument "a" {\n  data d: "D"\n  claim p: "P"\n}\n'
+            'dialogue "x" {\n  type: inquiry\n  participants: a, b\n'
+            '  stance a p: unknown\n  stance b p: unknown\n'
+            '  move 1 a assert p\n  move 2 b declare_shift deliberation\n}\n')
+        props = doc.graph.propositions
+        assert [type(q) for q in props.values()] == [Proposition] * 2
+        assert props == {"p": Proposition("p", "P"), "d": Proposition("d", "D")}
+        moves = doc.dialogues["x"].moves
+        assert [type(m) for m in moves] == [Move] * 2
+        assert moves == (Move(1, "a", MoveKind.ASSERT, "p"),
+                         Move(2, "b", MoveKind.DECLARE_SHIFT,
+                              DialogueType.DELIBERATION))
+
     def traced_parse(self, text):
         """The document, and the memory it holds and the parse's peak."""
         tracemalloc.start()
