@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .engine import (DialogueState, GoalVerdict, Polarity, StanceMismatch,
-                     ViolationInfo, goal_achieved, new_dialogue, replay_moves)
+from .engine import (DialogueState, GoalVerdict, StanceMismatch, ViolationInfo,
+                     goal_achieved, new_dialogue, replay_moves)
 from .markup import DialogueDecl, Document
 from .shifts import detect_shifts, segment_moves
 from .typology import (
@@ -18,9 +18,6 @@ from .typology import (
     ProofDialogueType, ProofStatus, SituationKind, UndefinedCell,
     assess_proof_status, classify_proof_dialogue, infer_initial_situation,
     proof_dialogue_row)
-
-# Read per commitment: a dict lookup is cheaper than the `value` property.
-_POLARITY_NAME = {pol: pol.value for pol in Polarity}
 
 
 def _classify(decl: DialogueDecl) -> tuple[Optional[ProofDialogueType], dict]:
@@ -93,9 +90,9 @@ class DialogueOutcome(NamedTuple):
             "goal": {"achieved": self.verdict.achieved,
                      "reason": self.verdict.reason},
             "violations": [] if v is None else [{"turn": v.turn, "rule": v.rule}],
-            # The (proposition, polarity) pairs sort in C, by proposition.
-            "stores": {s.owner: [[p, _POLARITY_NAME[pol]]
-                                 for p, pol in sorted(s.commitments)]
+            # The (proposition, polarity) pairs sort in C, by proposition; a
+            # polarity is a `str` enum, which the writer quotes as its value.
+            "stores": {s.owner: list(map(list, sorted(s.commitments)))
                        for s in self.state.stores},
             "segments": [
                 {"start_turn": s.start_turn, "end_turn": s.end_turn,

@@ -111,8 +111,8 @@ _ESCAPE = re.compile(r'\\(["\\])')
 # and spare a Python call per line.
 _ID = r"[A-Za-z_]\w*"
 _NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
-_BLOCK_HEAD = re.compile(
-    r'[ \t\r\n]*(?P<block>argument|dialogue|proof)[ ]*(?P<name>"[^"\\]*")[ ]*\{')
+_BLOCK_HEAD = re.compile(rf"""[ \t\r\n]*(?P<block>{"|".join(
+    w for w in _BLOCK_WORDS if w != "prop")})[ ]*(?P<name>"[^"\\]*")[ ]*\{{""")
 _ARGUMENT_LINE = re.compile(rf"""[ \t\r\n]* (?:
     (?P<named> (?P<word>data|warrant|backing|rebuttal|claim) {_NAMED} )
   | (?P<qualifier> qualifier [ ]*:[ ]* (?P<degree>{"|".join(
@@ -233,13 +233,15 @@ class Document:
 class _Parser:
     """Lexes on demand: `end` is the offset past the last token or
     statement read, and `tok` the lookahead token, lexed when `peek` needs
-    it.  A token's `tok[0]` is its kind and `tok[1]` its value.  Where the
-    token path meets a `move` or top-level `prop` keyword, `read_moves` or
-    `read_props` reads that line and the rest of its run whole, and
-    `read_slots` reads the entries of an argument block from its head, or
-    from the end of the last entry read token by token.  A run ends at the
-    first line it cannot take: the token path reads that line, and
-    reports any error in it."""
+    it.  A token's `tok[0]` is its kind and `tok[1]` its value.  `parse`
+    reads every `prop` run or line and block head (one `_BLOCK_HEAD`
+    match, or token by token), checks block names, and dispatches to the
+    block parsers.  Where the token path meets a `move` or `prop` keyword,
+    `read_moves` or `read_props` reads that line and the rest of its run
+    whole, and `read_slots` reads the entries of an argument block from
+    its head, or from the end of the last entry read token by token.  A
+    run ends at the first line it cannot take: the token path reads that
+    line, and reports any error in it."""
 
     def __init__(self, source: str):
         self.source = source
@@ -328,24 +330,6 @@ class _Parser:
                 if depth <= 0:
                     return
 
-    def open_block(self, what: str, declared: dict, head: Optional[re.Match]
-                   ) -> Optional[tuple[_Lexeme, _Lexeme]]:
-        """`keyword "name" {` from `head` or token by token: the keyword and name
-        tokens, or None after skipping a bad block; a `declared` name is reported."""
-        if head is not None:
-            kw = ("keyword", what, head.start("block"), len(what))
-            name = ("string", head["name"][1:-1], head.start("name"),
-                    len(head["name"]))
-        else:
-            kw = self.next()
-            name = self.expect("string", f"{what} name")
-            if name is None or not self.expect("lbrace"):
-                self.skip_block()
-                return None
-        if name[1] in declared:
-            self.error(f"fresh {what} name", name, f"duplicate {what}")
-        return kw, name
-
     def entry(self, expected: str, words: frozenset[str]) -> Optional[_Lexeme]:
         """The next entry keyword of a block body, or None past its `}`;
         any other token is reported and skipped, and the end of input as a
@@ -396,27 +380,38 @@ class _Parser:
         if self.at_kw("version"):
             self.next()
             self.expect("int", "version number")
+        declared = {"argument": self.doc.graph.arguments,
+                    "dialogue": self.doc.dialogues, "proof": self.doc.proofs}
         while True:
             if self.tok is None and (
-                    line := _BLOCK_HEAD.match(self.source, self.end)):
-                self.end = line.end()
-                getattr(self, "parse_" + line["block"])(line)
-                continue
-            kind, value, _, _ = self.peek()
-            if kind == "eof":
-                break
-            if kind == "keyword" and value in _BLOCK_WORDS:
-                getattr(self, "parse_" + value)()
+                    head := _BLOCK_HEAD.match(self.source, self.end)):
+                self.end = head.end()
+                what, quoted = head.group("block", "name")
+                kw = ("keyword", what, head.start("block"), len(what))
+                name = ("string", quoted[1:-1], head.start("name"), len(quoted))
             else:
-                self.error("'prop', 'argument', 'dialogue' or 'proof'")
-                self.skip_block()
+                kind, what, pos, _ = self.peek()
+                if kind == "eof":
+                    break
+                if kind != "keyword" or what not in _BLOCK_WORDS:
+                    self.error("'prop', 'argument', 'dialogue' or 'proof'")
+                    self.skip_block()
+                    continue
+                kw = self.next()
+                if what == "prop":
+                    if not self.read_props(pos) and self.named_prop() is None:
+                        self.skip_block()
+                    continue
+                name = self.expect("string", f"{what} name")
+                if name is None or not self.expect("lbrace"):
+                    self.skip_block()
+                    continue
+            if name[1] in declared[what]:
+                self.error(f"fresh {what} name", name, f"duplicate {what}")
+            getattr(self, "parse_" + what)(kw, name)
         self.resolve_uses()
         self.resolve_refs()
         return self.doc
-
-    def parse_prop(self) -> None:
-        if not self.read_props(self.next()[2]) and self.named_prop() is None:
-            self.skip_block()
 
     def read_props(self, pos: int) -> bool:
         """Declare the run of `prop ID: "TEXT"` lines from `pos`, the offset
@@ -441,11 +436,8 @@ class _Parser:
 
     # --- argument blocks ---------------------------------------------
 
-    def parse_argument(self, head: Optional[re.Match] = None) -> None:
-        block = self.open_block("argument", self.doc.graph.arguments, head)
-        if block is None:
-            return
-        kw, (_, name, _, _) = block
+    def parse_argument(self, kw: _Lexeme, name_tok: _Lexeme) -> None:
+        name = name_tok[1]
         slots: dict = {"data": [], "rebuttal": [], "warrant": None,
                        "backing": None, "claim": None, "qualifier": None}
         while not self.read_slots(slots, name):  # an entry, token by token
@@ -531,11 +523,7 @@ class _Parser:
 
     # --- dialogue blocks ---------------------------------------------
 
-    def parse_dialogue(self, head: Optional[re.Match] = None) -> None:
-        block = self.open_block("dialogue", self.doc.dialogues, head)
-        if block is None:
-            return
-        _, name_tok = block
+    def parse_dialogue(self, kw: _Lexeme, name_tok: _Lexeme) -> None:
         name = name_tok[1]
 
         single: dict = {}  # type, settlement
@@ -653,11 +641,8 @@ class _Parser:
 
     # --- proof blocks ------------------------------------------------
 
-    def parse_proof(self, head: Optional[re.Match] = None) -> None:
-        block = self.open_block("proof", self.doc.proofs, head)
-        if block is None:
-            return
-        kw, (_, name, _, _) = block
+    def parse_proof(self, kw: _Lexeme, name_tok: _Lexeme) -> None:
+        name = name_tok[1]
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
             names = [ident[1] for ident in self.ident_list("dialogue name")]

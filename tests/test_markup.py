@@ -332,22 +332,33 @@ class TestParseDocument:
         assert (err.span.line, err.span.column) == (4, 20)
         assert err.hint == "duplicate participant"
 
+    # A one-line head is read with one match of the head pattern; the
+    # others, token by token.  Both paths report at the second name.
+    @pytest.mark.parametrize("head, name", [
+        (' "n"', "n"), ('\n"n"', "n"), ('\t"n"', "n"), (' # note\n"n"', "n"),
+        (' "n\\"q"', 'n"q')],
+        ids=["one_line", "name_on_next_line", "tab", "comment", "escaped_quote"])
     @pytest.mark.parametrize("what, block", [
         ("argument", '{ data x: "X" warrant w: "W" claim c: "C" }'),
         ("dialogue", '{ type: inquiry participants: a, b'
                      ' stance a p: unknown stance b p: unknown }'),
         ("proof", '{ dialogues: d }')])
-    def test_duplicate_block_name(self, what, block):
+    def test_duplicate_block_name(self, what, block, head, name):
+        assert bool(markup._BLOCK_HEAD.match(what + head + " {")) == (
+            head == ' "n"')
         src = ('prop p: "P"\n'
                'dialogue "d" { type: inquiry participants: a, b'
                ' stance a p: unknown stance b p: unknown }\n'
-               f'{what} "n" {block}\n{what} "n" {block}\n')
+               f'{what}{head} {block}\n{what}{head} {block}\n')
         with pytest.raises(MarkupError) as exc:
             parse_document(src)
         (err,) = exc.value.errors
-        assert (err.span.line, err.span.column) == (4, len(what) + 2)
+        at = src.rindex(head) + head.index('"')  # the second name token
+        line = src.count("\n", 0, at) + 1
+        assert err.span == SourceSpan(line, at - src.rfind("\n", 0, at), at,
+                                      len(head) - head.index('"'))
         assert (err.expected, err.found, err.hint) == (
-            f"fresh {what} name", "n", f"duplicate {what}")
+            f"fresh {what} name", name, f"duplicate {what}")
 
     def test_turn_with_non_ascii_digit(self):
         src = ('prop p: "x"\n'
