@@ -34,7 +34,8 @@ def fixture_paths() -> list[Path]:
 
 def _load(path: str) -> markup.Document | int:
     try:
-        source = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
+        # Decoded whole, so that a lone CR stays inside its line; drops a BOM.
+        source = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

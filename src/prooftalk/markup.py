@@ -95,6 +95,7 @@ _TOKEN = re.compile(r"""
       | (?P<int>[0-9]+) | (?P<word>\w+) )?
 """, re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
+_ONE_LINE = re.compile(r"[^\r\n]*")
 
 # One-line statements read whole with one match of a pattern take only text
 # that lexes the same: ASCII identifier starts (keywords are turned away
@@ -174,7 +175,7 @@ def tokenize(source: str) -> list[_Lexeme]:
 def _lex_error(source: str, start: int, end: int) -> MarkupError:
     """The error for the fault at `start`: a string whose match stops at
     `end`, on an illegal escape or at the end of input, or else an
-    illegal character."""
+    illegal character.  The text shown stops at the end of its line."""
     starts = _line_starts(source)
     if source[start] != '"':
         ch = source[start]
@@ -184,11 +185,11 @@ def _lex_error(source: str, start: int, end: int) -> MarkupError:
     if end < len(source):
         fault = source[start:end + 2]  # the escape may end the input
         return MarkupError([ParseError(
-            _span(starts, start, len(fault)), "string", fault,
-            "illegal escape sequence")])
+            _span(starts, start, len(fault)), "string",
+            _ONE_LINE.match(fault)[0], "illegal escape sequence")])
     return MarkupError([ParseError(
-        _span(starts, start, 1), "closing quote", source[start:start + 20],
-        "unterminated string")])
+        _span(starts, start, 1), "closing quote",
+        _ONE_LINE.match(source, start, start + 20)[0], "unterminated string")])
 
 
 class DialogueDecl(NamedTuple):
@@ -250,7 +251,7 @@ class _Parser:
         # Built by the first error reported, if any.
         self.line_starts: Optional[list[int]] = None
         self.lines = self.counted = 0  # newlines before `counted` (blocks in order)
-        self.errors: list[ParseError] = []
+        self.errors: dict[SourceSpan, ParseError] = {}  # the first at each span
         self.doc = Document()
         # (slot id token, source_arg_name, target_arg_name)
         self.uses: list[tuple[_Lexeme, str, str]] = []
@@ -275,9 +276,12 @@ class _Parser:
         return tok
 
     def error(self, expected: str, tok: Optional[_Lexeme] = None,
-              hint: Optional[str] = None) -> None:
+              hint: Optional[str] = None, found: Optional[str] = None) -> None:
+        """Report at `tok`, the lookahead by default, what it holds or `found`."""
         tok = tok or self.peek()
-        self.errors.append(ParseError(self.span(tok), expected, tok[1], hint))
+        span = self.span(tok)
+        self.errors.setdefault(span, ParseError(
+            span, expected, tok[1] if found is None else found, hint))
 
     def expect(self, kind: str, expected: Optional[str] = None) -> Optional[_Lexeme]:
         tok = self.peek()
@@ -515,9 +519,8 @@ class _Parser:
         if label is None:
             return None
         if not label[1]:
-            self.errors.append(ParseError(
-                self.span(label), "custom qualifier label", '""',
-                "a custom label must be non-empty"))
+            self.error("custom qualifier label", label,
+                       "a custom label must be non-empty", '""')
             return None
         return Qualifier(kind, label[1])
 
@@ -530,7 +533,7 @@ class _Parser:
         order: list[str] = []
         seen: set[str] = set()  # the ids in `order`
         order_tok = name_tok
-        stances: dict[str, Stance] = {}
+        stances: dict[str, tuple[_Lexeme, Stance]] = {}  # by participant id
         crucial: Optional[str] = None
         moves: list[Move] = []
 
@@ -557,7 +560,7 @@ class _Parser:
                 stance = self.lookup(STANCE_WORDS, "'true', 'false' or 'unknown'")
                 if stance is None:
                     continue
-                self.put(stances, pid[1], entry, stance)
+                self.put(stances, pid[1], entry, (pid, stance))
                 if crucial is not None and crucial != prop[1]:
                     self.error("the crucial proposition", prop,
                                "stance lines must share one proposition")
@@ -587,8 +590,7 @@ class _Parser:
                     try:
                         moves.append(Move(int(turn[1]), speaker[1], kind, subject))
                     except ValueError:  # more digits than `int` reads
-                        self.errors.append(ParseError(self.span(turn), "turn number",
-                                                      turn[1][:20], "too long"))
+                        self.error("turn number", turn, "too long", turn[1][:20])
 
         if "type" not in single:
             self.error("'type' declaration in dialogue block", name_tok)
@@ -597,17 +599,16 @@ class _Parser:
             self.error("at least one 'stance' line in dialogue block", name_tok)
             return
         if len(order) != 2:
-            self.errors.append(ParseError(
-                self.span(order_tok), "exactly two participants",
-                str(len(order)), "dialogues are two-party"))
+            self.error("exactly two participants", order_tok,
+                       "dialogues are two-party", str(len(order)))
         participants = tuple(
             Participant(pid, Role.PROVER if i == 0 else Role.INTERLOCUTOR,
-                        stances.get(pid, Stance.UNKNOWN))
+                        stances[pid][1] if pid in stances else Stance.UNKNOWN)
             for i, pid in enumerate(order))
-        for pid in stances:
-            if pid not in seen:
-                self.error("declared participant", name_tok,
-                           f"stance for unknown participant '{pid}'")
+        for pid, _ in stances.values():
+            if pid[1] not in seen:
+                self.error("declared participant", pid,
+                           f"stance for unknown participant '{pid[1]}'")
         self.doc.dialogues[name] = DialogueDecl(
             name, single["type"], participants, crucial,
             single.get("settlement"), tuple(moves))
@@ -658,9 +659,7 @@ class _Parser:
         for ident, src, target in self.uses:
             slot_id = ident[1]
             if src not in graph.arguments:
-                self.errors.append(ParseError(
-                    self.span(ident), "declared argument", src,
-                    "unknown source argument"))
+                self.error("declared argument", ident, "unknown source argument", src)
                 continue
             target_arg = graph.arguments[target]
             if slot_id in target_arg.data:
@@ -679,9 +678,8 @@ class _Parser:
         graph.links = tuple(sorted(links))
         if _has_cycle(graph.links):
             # A cycle needs links, so there is a `uses` line to anchor it.
-            self.errors.append(ParseError(
-                self.span(self.uses[-1][0]), "acyclic support links", "uses",
-                "support cycle between arguments"))
+            self.error("acyclic support links", self.uses[-1][0],
+                       "support cycle between arguments", "uses")
 
     def resolve_refs(self) -> None:
         for tok in self.pending_refs:
@@ -696,14 +694,15 @@ class _Parser:
 def parse_document(source: str) -> Document:
     """Parse markup text; raises MarkupError listing every recoverable
     error, the first one earliest in the source.  A span holds at most
-    one error, the first one found there."""
+    one error, the first one found there.  A lexer fault ends the list."""
     parser = _Parser(source)
-    doc = parser.parse()
+    try:
+        doc = parser.parse()
+    except MarkupError as fault:  # a lexer fault ends the parse unresolved
+        parser.errors |= {err.span: err for err in fault.errors}
     if parser.errors:
-        first: dict[SourceSpan, ParseError] = {}
-        for err in parser.errors:
-            first.setdefault(err.span, err)
-        raise MarkupError(sorted(first.values(), key=lambda e: e.span.offset))
+        raise MarkupError(sorted(parser.errors.values(),
+                                 key=lambda e: e.span.offset))
     return doc
 
 

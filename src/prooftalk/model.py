@@ -116,8 +116,8 @@ def validate_argument(arg: ToulminArgument, graph: ArgumentGraph) -> list[Diagno
     """Structural checks for one argument; diagnostics, never exceptions."""
     out: list[Diagnostic] = []
 
-    def err(rule, slot, message):
-        out.append(Diagnostic(rule, slot, Severity.ERROR, message, arg.id))
+    def err(rule, slot, message, severity=Severity.ERROR):
+        out.append(Diagnostic(rule, slot, severity, message, arg.id))
 
     if not arg.data:
         err("missing-data", "data", f"argument '{arg.id}' has no data")
@@ -146,33 +146,31 @@ def validate_argument(arg: ToulminArgument, graph: ArgumentGraph) -> list[Diagno
     if (arg.qualifier is not None
             and arg.qualifier.kind is QualifierKind.NECESSARILY
             and arg.rebuttals):
-        out.append(Diagnostic(
-            "necessarily-with-rebuttals", "rebuttals", Severity.WARNING,
+        err("necessarily-with-rebuttals", "rebuttals",
             f"argument '{arg.id}' claims necessity yet lists rebuttals; "
-            "exceptions may only exist outside the declared field", arg.id))
+            "exceptions may only exist outside the declared field", Severity.WARNING)
     return out
 
 
 def validate_graph(graph: ArgumentGraph) -> list[Diagnostic]:
     """Validate every argument plus the cross-argument link structure."""
     out: list[Diagnostic] = []
+
+    def err(rule, slot, message, argument=None):
+        out.append(Diagnostic(rule, slot, Severity.ERROR, message, argument))
+
     for arg_id in sorted(graph.arguments):
         out.extend(validate_argument(graph.arguments[arg_id], graph))
     for link in graph.links:
         if link.source not in graph.arguments or link.target not in graph.arguments:
-            out.append(Diagnostic(
-                "unresolved-link", "links", Severity.ERROR,
-                f"link {link.source}->{link.target} references a missing argument"))
-            continue
-        if not _claim_in_slot(graph, link):
-            out.append(Diagnostic(
-                "link-slot-mismatch", link.role.value, Severity.ERROR,
+            err("unresolved-link", "links",
+                f"link {link.source}->{link.target} references a missing argument")
+        elif not _claim_in_slot(graph, link):
+            err("link-slot-mismatch", link.role.value,
                 f"claim of '{link.source}' does not occupy the {link.role.value} "
-                f"slot of '{link.target}'", link.target))
+                f"slot of '{link.target}'", link.target)
     if _has_cycle(graph.links):
-        out.append(Diagnostic(
-            "support-cycle", "links", Severity.ERROR,
-            "link relation contains a support cycle"))
+        err("support-cycle", "links", "link relation contains a support cycle")
     return out
 
 

@@ -380,9 +380,23 @@ _PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ",": "comma",
           ";": "semicolon"}
 
 
+def _one_line(text: str) -> str:
+    """The text up to its first CR or LF."""
+    return text.split("\n")[0].split("\r")[0]
+
+
 def tokenize(source: str) -> list[Token]:
     """Lex the source into tokens; raises MarkupError with an exact span
     on an unterminated string or illegal character."""
+    tokens, fault = lex(source)
+    if fault is not None:
+        raise MarkupError([fault])
+    return tokens
+
+
+def lex(source: str) -> tuple[list[Token], Optional[ParseError]]:
+    """The tokens before the first unterminated string, illegal escape or
+    illegal character, and the error at it, if any."""
     tokens: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(source)
@@ -422,15 +436,15 @@ def tokenize(source: str) -> list[Token]:
                         parts.append(source[j + 1])
                         j += 2
                         continue
-                    raise MarkupError([ParseError(
+                    return tokens, ParseError(
                         SourceSpan(*start_span, min(j + 2, n) - i), "string",
-                        source[i:j + 2], "illegal escape sequence")])
+                        _one_line(source[i:j + 2]), "illegal escape sequence")
                 parts.append(source[j])
                 j += 1
             if j >= n:
-                raise MarkupError([ParseError(
+                return tokens, ParseError(
                     SourceSpan(*start_span, 1), "closing quote",
-                    source[i:min(i + 20, n)], "unterminated string")])
+                    _one_line(source[i:min(i + 20, n)]), "unterminated string")
             tokens.append(Token("string", "".join(parts),
                                 SourceSpan(*start_span, j + 1 - i)))
             advance(source[i:j + 1])
@@ -451,10 +465,10 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(kind, word, SourceSpan(*start_span, j - i)))
             advance(word)
             continue
-        raise MarkupError([ParseError(
+        return tokens, ParseError(
             SourceSpan(*start_span, 1), "token", ch,
-            "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
-    return tokens
+            "numbers use ASCII digits" if ch.isdigit() else "illegal character")
+    return tokens, None
 
 
 # The reference parser's word tables.  It records each block's keyword
@@ -471,8 +485,13 @@ MOVE_WORDS = {k.value: k for k in MoveKind}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end: SourceSpan):
+    """Past its tokens, the parser meets the lexer's fault, if any, which
+    ends the parse, or else the end of input."""
+
+    def __init__(self, tokens: list[Token], fault: Optional[ParseError],
+                 end: SourceSpan):
         self.tokens = tokens
+        self.fault = fault
         self.eof = Token("eof", "<end of input>", end)
         self.pos = 0
         self.errors: list[ParseError] = []
@@ -487,7 +506,11 @@ class _Parser:
         self.pending_proofs: list[tuple[SourceSpan, str, list[str]]] = []
 
     def peek(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        if self.fault is not None:
+            raise MarkupError([self.fault])
+        return self.eof
 
     def next(self) -> Token:
         tok = self.peek()
@@ -716,6 +739,7 @@ class _Parser:
         order: list[str] = []
         order_tok: Optional[Token] = None
         stances: dict[str, Stance] = {}
+        stance_toks: dict[str, Token] = {}  # each participant's first stance
         crucial: Optional[str] = None
         settlement: Optional[str] = None
         moves: list[Move] = []
@@ -755,6 +779,7 @@ class _Parser:
                             self.repeated(kw, pid.value)
                         else:
                             stances[pid.value] = STANCE_WORDS[v.value]
+                            stance_toks[pid.value] = pid
                     else:
                         self.error("'true', 'false' or 'unknown'", v)
                         continue
@@ -817,9 +842,9 @@ class _Parser:
                         Role.PROVER if i == 0 else Role.INTERLOCUTOR,
                         stances.get(pid, Stance.UNKNOWN))
             for i, pid in enumerate(order))
-        for pid in stances:
+        for pid, tok in stance_toks.items():
             if pid not in order:
-                self.error("declared participant", name,
+                self.error("declared participant", tok,
                            f"stance for unknown participant '{pid}'")
         self.doc.dialogues[name.value] = DialogueDecl(
             name.value, declared_type, participants, crucial, settlement,
@@ -893,9 +918,13 @@ def parse_document(source: str) -> tuple[Document, dict[str, SourceSpan]]:
     """Parse markup text into the document and its block spans, keyed
     `argument:NAME`, `dialogue:NAME` and `proof:NAME`; raises MarkupError
     listing every recoverable error, the first one earliest in the
-    source.  A span holds at most one error, the first one found there."""
-    parser = _Parser(tokenize(source), _end_span(source))
-    doc = parser.parse()
+    source.  A span holds at most one error, the first one found there.
+    A lexer fault ends the parse, with no resolution after it."""
+    parser = _Parser(*lex(source), _end_span(source))
+    try:
+        doc = parser.parse()
+    except MarkupError as fault:
+        parser.errors += fault.errors
     if parser.errors:
         first: dict[SourceSpan, ParseError] = {}
         for err in parser.errors:

@@ -193,6 +193,22 @@ def test_byte_order_mark_is_ignored(
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("source, where", [
+    ('prop p: "x"\rbogus\n', "1:13"),  # a lone CR is whitespace in its line
+    ('prop p: "x"\r\nbogus\r\n', "2:1")], ids=["cr", "crlf"])
+def test_file_is_read_as_the_library_parses_it(source, where, tmp_path, capsys):
+    path = tmp_path / "doc.arg"
+    path.write_bytes(source.encode())
+    with pytest.raises(markup.MarkupError) as exc:
+        markup.parse_document(source)
+    (err,) = exc.value.errors
+    assert f"{err.span.line}:{err.span.column}" == where
+    assert main(["validate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"{path}:{where}: error: expected 'prop', 'argument', 'dialogue' "
+        "or 'proof', found bogus\n")
+
+
 @pytest.mark.parametrize("command, fixture", [
     ("report", None), ("diagram", "harry.arg"),
     ("classify", "wiles_attempt.arg"), ("analyze", "wiles_attempt.arg")])

@@ -11,7 +11,10 @@ named tuples, and the records the parser fills are plain classes), and
 importing the CLI in a fresh interpreter loads neither `dataclasses` nor
 `inspect`; every public module-level name has a caller (in the package,
 the acceptance tests or a named file outside the package), and no compiled
-pattern needs a newer Python than the one pyproject.toml declares.  The code
+pattern needs a newer Python than the one pyproject.toml declares.  Each
+kind of finding has one constructor: the parser builds a `ParseError` only
+where it reports one or where the lexer faults, and each validator builds
+its `Diagnostic`s in one helper.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
 from its class and builds no generator: no test times the replay, so
@@ -209,6 +212,36 @@ def test_parser_defines_no_generator():
                       isinstance(n, (ast.Yield, ast.YieldFrom))
                       for n in ast.walk(node))}
     assert generators == set()
+
+
+def builders_of(record):
+    """`module.function` for each call of `record` in the package, the
+    function named through its enclosing classes and functions."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == record):
+                found.add(where)
+            visit(child, where)
+
+    for path in MODULES:
+        visit(tree_of(path.name), path.stem)
+    return found
+
+
+def test_one_constructor_per_finding():
+    # A parse error is built where it is reported, which keeps the first
+    # at each span, or by the lexer's fault; each validator builds its
+    # diagnostics in one helper.
+    assert builders_of("ParseError") == {"markup._Parser.error",
+                                         "markup._lex_error"}
+    assert builders_of("Diagnostic") == {"model.validate_argument.err",
+                                         "model.validate_graph.err"}
 
 
 def readme_synopses():

@@ -10,6 +10,8 @@ say that it changes.
   serialization changes no output.
 - Irrelevance: a freshly named dialogue that no proof lists, or a new
   proof, leaves every other entry as it was.
+- Failure is local: breaking one dialogue's protocol leaves every other
+  dialogue's entry, and every proof that does not list it, as it was.
 
 Documents are the well-formed drafts of `test_fuzz.dialogue_documents`
 that parse, the shipped fixtures, the `long_dialogues` plants at 1000
@@ -26,7 +28,14 @@ from hypothesis import strategies as st
 
 from prooftalk.analysis import analyze, classify_document
 from prooftalk.cli import fixture_paths
-from prooftalk.markup import MarkupError, _quote, parse_document, serialize
+from prooftalk.markup import (
+    Document,
+    MarkupError,
+    ProofDecl,
+    _quote,
+    parse_document,
+    serialize,
+)
 from prooftalk.model import validate_graph
 from test_fuzz import dialogue_documents
 
@@ -134,6 +143,39 @@ def check_fresh_proof(doc, rng) -> None:
     assert (report, classes, diagnostics) == outputs(doc)
 
 
+def check_local_failure(doc, rng) -> None:
+    """One dialogue with moves gets a copy of one of them right after it,
+    which repeats a turn, so that its entry reports a violation (or the
+    error it had).  A new proof lists the other dialogues, if any, since
+    the proofs of the inputs list every dialogue they have."""
+    movers = sorted(name for name, decl in doc.dialogues.items() if decl.moves)
+    if not movers:
+        return
+    name = rng.choice(movers)
+    proofs = dict(doc.proofs)
+    if rest := tuple(sorted(set(doc.dialogues) - {name})):
+        proof = fresh("fresh", proofs)
+        proofs[proof] = ProofDecl(proof, rest)
+    whole = Document(doc.graph, doc.dialogues, proofs)
+    decl = doc.dialogues[name]
+    at = rng.randrange(len(decl.moves))
+    broken = Document(doc.graph, {**doc.dialogues, name: decl._replace(
+        moves=decl.moves[:at + 1] + decl.moves[at:])}, proofs)
+
+    def others(version):
+        report, classes, diagnostics = outputs(version)
+        entries = {e["dialogue_id"]: e for e in report["dialogues"]}
+        broken_entry = entries.pop(name)
+        del classes[name]
+        proofs = [p for p in report["proofs"]
+                  if name not in version.proofs[p["proof_id"]].dialogues]
+        return broken_entry, (entries, proofs, classes, diagnostics)
+
+    entry, kept = others(broken)
+    assert entry.get("error") or entry["violations"]
+    assert kept == others(whole)[1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(dialogue_documents, st.randoms(use_true_random=False))
 def test_laws_hold_on_fuzzed_dialogues(text, rng):
@@ -143,6 +185,7 @@ def test_laws_hold_on_fuzzed_dialogues(text, rng):
     check_block_order(doc, rng)
     check_fresh_dialogue(doc, rng)
     check_fresh_proof(doc, rng)
+    check_local_failure(doc, rng)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
@@ -164,3 +207,10 @@ def test_irrelevance(name, rng):
     doc = parse_document(source(name))
     check_fresh_dialogue(doc, rng)
     check_fresh_proof(doc, rng)
+
+
+@settings(max_examples=4, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_failure_is_local(name, rng):
+    check_local_failure(parse_document(source(name)), rng)

@@ -245,6 +245,33 @@ class TestParseDocument:
          '  stance y p: unknown\n  move 1 x assert p\n', (4, 9), (3, 1),
          ("expected dialogue entry keyword, found ,",
           "expected '}', found <end of input>")),
+        # Stance lines on two propositions, one cut short, and one for a
+        # participant that `participants:` does not list.
+        ('prop p: "P"\nprop q: "Q"\ndialogue "d" {\n  type: inquiry\n'
+         '  participants: x, y\n  stance x p: unknown\n'
+         '  stance y q: unknown\n}\n', 7, 12,
+         "expected the crucial proposition, found q "
+         "(stance lines must share one proposition)"),
+        ('prop p: "P"\ndialogue "d" {\n  type: inquiry\n'
+         '  participants: x, y\n  stance x p: unknown\n  stance y\n}\n',
+         7, 1, "expected proposition id, found }"),
+        ('prop p: "P"\ndialogue "d" {\n  type: inquiry\n'
+         '  participants: x, y\n  stance z p: unknown\n}\n', 5, 10,
+         "expected declared participant, found z "
+         "(stance for unknown participant 'z')"),
+        # A lexer fault ends the parse: it comes after the errors found
+        # before it, nothing is resolved (the unknown source argument is
+        # not reported), and the text it shows stops at the end of its line.
+        ('argument "a" {\n  bogus\n}\nprop x: "unterminated\n', (2, 4),
+         (3, 9), ("expected argument slot keyword, found bogus",
+                  'expected closing quote, found "unterminated '
+                  "(unterminated string)")),
+        ('argument "a" {\n  data d: "D"\n  uses d <- argument "b"\n}\n'
+         "@\n", 5, 1, "expected token, found @ (illegal character)"),
+        ('prop x: "ab\\\n"\n', 1, 9,
+         'expected string, found "ab\\ (illegal escape sequence)'),
+        ('prop x: "ab\r\n# not a comment\n', 1, 9,
+         'expected closing quote, found "ab (unterminated string)'),
     ])
     def test_located_error(self, src, line, column, message):
         # A row with several errors gives their lines, columns and
