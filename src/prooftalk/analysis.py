@@ -176,9 +176,3 @@ def analyze(doc: Document) -> Analysis:
                         if d in outcome_of)
         proofs.append((name, outcomes, assess_proof_status(outcomes)))
     return Analysis(dialogues, proofs)
-
-
-def analyze_document(doc: Document) -> dict:
-    """The `analyze` report; a dialogue whose stances do not fit its type
-    gets an `error` entry."""
-    return analyze(doc).report()

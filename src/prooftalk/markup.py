@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .engine import Move, MoveKind, Participant, Role
 from .model import (
@@ -47,8 +47,10 @@ class ParseError(NamedTuple):
 
 
 class MarkupError(Exception):
-    def __init__(self, errors: list[ParseError]):
-        self.errors = errors
+    """The errors, the first one earliest in the source."""
+
+    def __init__(self, errors: Iterable[ParseError]):
+        self.errors = errors = sorted(errors, key=lambda e: e.span.offset)
         first = errors[0]
         super().__init__(
             f"{first.span.line}:{first.span.column}: {first.message}"
@@ -79,6 +81,11 @@ KEYWORDS = frozenset({"version", *_BLOCK_WORDS, "dialogues", *_ARGUMENT_SLOTS,
 # A token is a plain tuple (kind, value, offset, length): its line and
 # column are worked out only when a span is reported.
 _Lexeme = tuple[str, str, int, int]
+
+# A lexer fault is a token whose kind is its error's hint and whose value
+# is the text found; by kind, what the error says was expected.
+_FAULTS = {"illegal character": "token", "numbers use ASCII digits": "token",
+           "illegal escape sequence": "string", "unterminated string": "closing quote"}
 
 # One match skips whitespace and comments, then captures one token in the
 # group named after its kind.  A string that does not close, or holds an
@@ -115,7 +122,7 @@ _NAMED = rf'[ ]+ (?P<id>{_ID}) [ ]*:[ ]* "(?P<text>[^"\\]*)"'
 _BLOCK_HEAD = re.compile(rf"""[ \t\r\n]*(?P<block>{"|".join(
     w for w in _BLOCK_WORDS if w != "prop")})[ ]*(?P<name>"[^"\\]*")[ ]*\{{""")
 _ARGUMENT_LINE = re.compile(rf"""[ \t\r\n]* (?:
-    (?P<named> (?P<word>data|warrant|backing|rebuttal|claim) {_NAMED} )
+    (?P<named> (?P<word>{"|".join(sorted(_NAMED_SLOTS))}) {_NAMED} )
   | (?P<qualifier> qualifier [ ]*:[ ]* (?P<degree>{"|".join(
         w for w in QUALIFIER_WORDS if w != "custom")})\b )
   | (?P<uses> uses [ ]+ (?P<slot>{_ID}) [ ]* <- [ ]* argument [ ]*
@@ -143,53 +150,43 @@ def _span(line_starts: list[int], offset: int, length: int) -> SourceSpan:
 
 def _lex(source: str, pos: int) -> _Lexeme:
     """The token after offset `pos`, past whitespace and comments, or the
-    end-of-input token; raises MarkupError with an exact span on an
-    unterminated string, illegal escape or illegal character."""
+    end-of-input token, or the fault token of an unterminated string, an
+    illegal escape or an illegal character."""
     m = _TOKEN.match(source, pos)
     kind = m.lastgroup
     if kind is None:
-        if m.end() == len(source):
-            return ("eof", "<end of input>", len(source), 0)
-        raise _lex_error(source, m.end(), m.end())
-    start, end = m.span(kind)
-    value = source[start:end]
-    if kind == "word":
-        if not (value[0].isalpha() or value[0] == "_"):
-            raise _lex_error(source, start, end)
-        kind = "keyword" if value in KEYWORDS else "ident"
-    elif kind == "string":
-        value = _ESCAPE.sub(r"\1", value[1:-1])
-    elif kind == "badstring":
-        raise _lex_error(source, start, end)
-    return (kind, value, start, end - start)
+        if (start := m.end()) == len(source):
+            return ("eof", "<end of input>", start, 0)
+    else:
+        start, end = m.span(kind)
+        value = source[start:end]
+        if kind == "word":
+            if value[0].isalpha() or value[0] == "_":
+                return ("keyword" if value in KEYWORDS else "ident",
+                        value, start, end - start)
+        elif kind == "string":
+            return (kind, _ESCAPE.sub(r"\1", value[1:-1]), start, end - start)
+        elif kind != "badstring":
+            return (kind, value, start, end - start)
+        elif end == len(source):  # a fault shows text up to the end of its line
+            return ("unterminated string",
+                    _ONE_LINE.match(source, start, start + 20)[0], start, 1)
+        else:  # the escape at `end` may end the input
+            end = min(end + 2, len(source))
+            return ("illegal escape sequence", _ONE_LINE.match(source, start, end)[0],
+                    start, end - start)
+    ch = source[start]
+    return ("numbers use ASCII digits" if ch.isdigit() else "illegal character",
+            ch, start, 1)
 
 
 def tokenize(source: str) -> list[_Lexeme]:
-    """Lex the whole source into (kind, value, offset, length) tuples."""
-    tokens = [_lex(source, 0)]
-    while tokens[-1][0] != "eof":
-        tokens.append(_lex(source, tokens[-1][2] + tokens[-1][3]))
-    return tokens[:-1]
-
-
-def _lex_error(source: str, start: int, end: int) -> MarkupError:
-    """The error for the fault at `start`: a string whose match stops at
-    `end`, on an illegal escape or at the end of input, or else an
-    illegal character.  The text shown stops at the end of its line."""
-    starts = _line_starts(source)
-    if source[start] != '"':
-        ch = source[start]
-        return MarkupError([ParseError(
-            _span(starts, start, 1), "token", ch,
-            "numbers use ASCII digits" if ch.isdigit() else "illegal character")])
-    if end < len(source):
-        fault = source[start:end + 2]  # the escape may end the input
-        return MarkupError([ParseError(
-            _span(starts, start, len(fault)), "string",
-            _ONE_LINE.match(fault)[0], "illegal escape sequence")])
-    return MarkupError([ParseError(
-        _span(starts, start, 1), "closing quote",
-        _ONE_LINE.match(source, start, start + 20)[0], "unterminated string")])
+    """Lex the whole source into (kind, value, offset, length) tuples;
+    raises MarkupError at a lexer fault, as `parse_document` does."""
+    parser, tokens = _Parser(source), []
+    while (tok := parser.next())[0] != "eof":
+        tokens.append(tok)
+    return tokens
 
 
 class DialogueDecl(NamedTuple):
@@ -250,7 +247,9 @@ class _Parser:
         self.tok: Optional[_Lexeme] = None
         # Built by the first error reported, if any.
         self.line_starts: Optional[list[int]] = None
-        self.lines = self.counted = 0  # newlines before `counted` (blocks in order)
+        # Newlines before `counted`, counted in order for argument spans:
+        # building the line table of `span` for them cost 6-7 % of a parse.
+        self.lines = self.counted = 0
         self.errors: dict[SourceSpan, ParseError] = {}  # the first at each span
         self.doc = Document()
         # (slot id token, source_arg_name, target_arg_name)
@@ -266,9 +265,13 @@ class _Parser:
         return _span(self.line_starts, tok[2], tok[3])
 
     def peek(self) -> _Lexeme:
-        if self.tok is None:
-            self.tok = _lex(self.source, self.end)
-        return self.tok
+        tok = self.tok
+        if tok is None:
+            self.tok = tok = _lex(self.source, self.end)
+            if tok[0] in _FAULTS:  # a lexer fault ends the parse unresolved
+                self.error(_FAULTS[tok[0]], tok, tok[0])
+                raise MarkupError(self.errors.values())
+        return tok
 
     def next(self) -> _Lexeme:
         tok = self.peek()
@@ -307,13 +310,18 @@ class _Parser:
         self.error(expected, tok)
         return None
 
-    def ident_list(self, expected: str) -> list[_Lexeme]:
-        """A comma-separated identifier list; missing entries are errors."""
-        idents = [self.expect("ident", expected)]
-        while self.peek()[0] == "comma":
+    def ident_list(self, expected: str, kinds=("ident",)) -> list[_Lexeme]:
+        """A comma-separated list of tokens of `kinds`, identifiers by
+        default; missing entries are errors."""
+        tokens = []
+        while True:
+            if self.peek()[0] in kinds:
+                tokens.append(self.next())
+            else:
+                self.error(expected)
+            if self.peek()[0] != "comma":
+                return tokens
             self.next()
-            idents.append(self.expect("ident", expected))
-        return [ident for ident in idents if ident is not None]
 
     def at_kw(self, *words: str) -> bool:
         kind, value, _, _ = self.peek()
@@ -646,7 +654,8 @@ class _Parser:
         name = name_tok[1]
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
-            names = [ident[1] for ident in self.ident_list("dialogue name")]
+            names = [tok[1] for tok in self.ident_list(
+                "dialogue name", ("ident", "string"))]
         self.expect("rbrace")
         self.doc.proofs[name] = ProofDecl(name, tuple(names))
         self.pending_proofs += [(kw, name, n) for n in names]
@@ -696,13 +705,9 @@ def parse_document(source: str) -> Document:
     error, the first one earliest in the source.  A span holds at most
     one error, the first one found there.  A lexer fault ends the list."""
     parser = _Parser(source)
-    try:
-        doc = parser.parse()
-    except MarkupError as fault:  # a lexer fault ends the parse unresolved
-        parser.errors |= {err.span: err for err in fault.errors}
+    doc = parser.parse()
     if parser.errors:
-        raise MarkupError(sorted(parser.errors.values(),
-                                 key=lambda e: e.span.offset))
+        raise MarkupError(parser.errors.values())
     return doc
 
 
@@ -768,6 +773,8 @@ def serialize(doc: Document) -> str:
 
     for pname in sorted(doc.proofs):
         block(f"proof {_quote(pname)}")
-        lines += ["  dialogues: " + ", ".join(doc.proofs[pname].dialogues), "}"]
+        lines += ["  dialogues: " + ", ".join(
+            d if _lex(d, 0) == ("ident", d, 0, len(d)) else _quote(d)  # bare: one ident
+            for d in doc.proofs[pname].dialogues), "}"]
 
     return "\n".join(lines) + ("\n" if lines else "")

@@ -540,12 +540,18 @@ class _Parser:
         self.error(f"'{word}'")
         return False
 
-    def ident_list(self, expected: str) -> list[Token]:
-        """A comma-separated identifier list; missing entries are errors."""
-        idents = [self.expect("ident", expected)]
+    def ident_list(self, expected: str, quoted: bool = False) -> list[Token]:
+        """A comma-separated identifier list, which may hold strings too
+        when `quoted`; missing entries are errors."""
+        def entry() -> Optional[Token]:
+            if quoted and self.peek().kind == "string":
+                return self.next()
+            return self.expect("ident", expected)
+
+        idents = [entry()]
         while self.peek().kind == "comma":
             self.next()
-            idents.append(self.expect("ident", expected))
+            idents.append(entry())
         return [ident for ident in idents if ident is not None]
 
     def at_kw(self, *words: str) -> bool:
@@ -863,7 +869,7 @@ class _Parser:
             self.error("fresh proof name", name, "duplicate proof")
         names: list[str] = []
         if self.expect_kw("dialogues") and self.expect("colon"):
-            names = [ident.value for ident in self.ident_list("dialogue name")]
+            names = [tok.value for tok in self.ident_list("dialogue name", True)]
         self.expect("rbrace")
         self.pending_proofs.append((kw.span, name.value, names))
         self.doc.proofs[name.value] = ProofDecl(name.value, tuple(names))

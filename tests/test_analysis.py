@@ -14,7 +14,7 @@ def test_segments_each_dialogue_once(corpus, monkeypatch):
 
     monkeypatch.setattr(analysis, "segment_moves", counted)
     doc = corpus["shift_illicit"][1]
-    analysis.analyze_document(doc)
+    analysis.analyze(doc).report()
     assert calls == [doc.dialogues[n].moves for n in sorted(doc.dialogues)]
 
 
@@ -29,7 +29,7 @@ dialogue "d" {{
   stance b p: {stances[1]}
 {lines}
 }}''')
-    return analysis.analyze_document(doc)["dialogues"][0]
+    return analysis.analyze(doc).report()["dialogues"][0]
 
 
 ILLICIT_DRIFT = {
@@ -138,7 +138,7 @@ def wiles_status(corpus, dialogues):
         'proof "fermat"', PERSUADED + 'proof "fermat"').replace(
         "dialogues: wiles_inquiry, wiles_persuasion",
         f"dialogues: {', '.join(dialogues)}")
-    (proof,) = analysis.analyze_document(parse_document(source))["proofs"]
+    (proof,) = analysis.analyze(parse_document(source)).report()["proofs"]
     return proof["status"]
 
 

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from prooftalk import cli, markup, model
-from prooftalk.analysis import analyze_document
+from prooftalk.analysis import analyze
 from prooftalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -339,7 +339,7 @@ class TestAnalyze:
         # reference cycles on every report; the CLI's writer leaves none.
         doc = markup.parse_document(
             fixtures["wiles_attempt.arg"].read_text(encoding="utf-8"))
-        report = analyze_document(doc)
+        report = analyze(doc).report()
         gc.collect()
         gc.disable()
         try:

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oracles
 from test_fuzz import NEAR_MISSES, documents as fragment_documents
 from test_markup import spanned_tokens
-from prooftalk.analysis import analyze_document
+from prooftalk.analysis import analyze
 from prooftalk.cli import _json, fixture_paths, main
 from prooftalk.engine import (
     KIND_RULES,
@@ -442,7 +442,7 @@ def analyzed(initial, moves):
     decl = DialogueDecl("d", initial.declared_type, initial.participants,
                         initial.crucial_proposition, initial.settlement,
                         moves)
-    entry, = analyze_document(Document(dialogues={"d": decl}))["dialogues"]
+    entry, = analyze(Document(dialogues={"d": decl})).report()["dialogues"]
     return entry
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from prooftalk.analysis import analyze_document
+from prooftalk.analysis import analyze
 from prooftalk.engine import (
     CommitmentStore,
     DialogueState,
@@ -433,7 +433,7 @@ class TestReplay:
     def test_replay_report_shape(self):
         decl = DialogueDecl("demo", DialogueType.INQUIRY, participants(), "p1",
                             None, (Move(1, "alice", MoveKind.ASSERT, "p1"),))
-        report = analyze_document(Document(dialogues={"demo": decl}))
+        report = analyze(Document(dialogues={"demo": decl})).report()
         [entry] = report["dialogues"]
         assert set(entry) == {"dialogue_id", "final_phase", "goal",
                               "violations", "stores", "segments", "shifts",

@@ -48,7 +48,7 @@ FRAGMENTS = (
     'settlement q', 'move 1 x assert p', 'move 2 y challenge p',
     'move 3 x declare_shift deliberation', 'move 3 x offer q',
     'move 4 y concede p', 'move 5 x close p',
-    'proof "pr" {', 'dialogues: d',
+    'proof "pr" {', 'dialogues: d', 'dialogues: "d"',
     'prop q: "Q"\r', '\tclaim c: "C"\t', '# comment, maybe at the end',
     'prop é_1: "É"', 'participants: ünal, ñ', 'stance ünal é_1: true',
     'move 1 ñ assert é_1', *NEAR_MISSES,

@@ -13,7 +13,7 @@ importing the CLI in a fresh interpreter loads neither `dataclasses` nor
 the acceptance tests or a named file outside the package), and no compiled
 pattern needs a newer Python than the one pyproject.toml declares.  Each
 kind of finding has one constructor: the parser builds a `ParseError` only
-where it reports one or where the lexer faults, and each validator builds
+where it reports one, a lexer fault included, and each validator builds
 its `Diagnostic`s in one helper.  The code
 that runs once per move (the move check, and the loops of the replay
 fold, the answer-window scan and the segmentation) loads no enum member
@@ -22,7 +22,8 @@ this is what keeps that per-move cost from coming back unnoticed.  The
 parser defines no generator function either.  The layering holds at
 run time too: the package root is its docstring alone, so a module
 imported alone in a fresh interpreter loads only the modules its own
-imports reach."""
+imports reach; and the imports of the traced benchmark run load every
+layer it wraps."""
 
 import argparse
 import ast
@@ -236,10 +237,9 @@ def builders_of(record):
 
 def test_one_constructor_per_finding():
     # A parse error is built where it is reported, which keeps the first
-    # at each span, or by the lexer's fault; each validator builds its
+    # at each span, a lexer fault's too; each validator builds its
     # diagnostics in one helper.
-    assert builders_of("ParseError") == {"markup._Parser.error",
-                                         "markup._lex_error"}
+    assert builders_of("ParseError") == {"markup._Parser.error"}
     assert builders_of("Diagnostic") == {"model.validate_argument.err",
                                          "model.validate_graph.err"}
 
@@ -285,11 +285,22 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & set(out.split())
 
 
+def test_the_traced_benchmark_run_finds_every_layer_loaded():
+    # The traced run of perfbench/run.py imports what its `_load_prooftalk`
+    # imports, then wraps each layer function in its loaded module: a
+    # layer that those imports stop loading fails here too.
+    script = ("import prooftalk.cli, prooftalk.model, spans\n"
+              "tracer = spans.Tracer()\ntracer.install()\ntracer.uninstall()")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 # Public names with no caller in the package or the acceptance tests,
 # each with the file outside the package that calls it.
 UNCALLED_PUBLIC = {
-    # The report alone; the CLI renders it from `analysis.analyze`.
-    "analysis.analyze_document": "tests/test_analysis.py",
     "markup.tokenize": "perfbench/spans.py",  # traced as its own layer
     "model.add_link": "perfbench/run.py",  # the argument_graphs rebuild
 }

@@ -6,6 +6,10 @@ say that it changes.
   same outputs.  `validate` is compared as `validate_graph`'s
   diagnostics, which hold no span: the CLI adds each argument's line,
   and serializing moves lines.
+- Renaming: renaming proposition ids, participant ids and block names
+  consistently, to fresh identifiers in a random order, renames the
+  outputs, the ids quoted in reasons and messages included, and changes
+  nothing else once their lists are re-sorted by the new names.
 - Block order: shuffling the top-level blocks and `prop` lines of the
   serialization changes no output.
 - Irrelevance: a freshly named dialogue that no proof lists, or a new
@@ -14,16 +18,20 @@ say that it changes.
   dialogue's entry, and every proof that does not list it, as it was.
 
 Documents are the well-formed drafts of `test_fuzz.dialogue_documents`
-that parse, the shipped fixtures, the `long_dialogues` plants at 1000
-moves and both `argument_graphs` shapes at 100 arguments.
+that parse and one with two challenges left open, the shipped fixtures,
+the `long_dialogues` plants at 1000 moves and both `argument_graphs`
+shapes at 100 arguments.
 """
 
+import random
+import re
 import sys
 from functools import cache
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prooftalk.analysis import analyze, classify_document
@@ -36,7 +44,8 @@ from prooftalk.markup import (
     parse_document,
     serialize,
 )
-from prooftalk.model import validate_graph
+from prooftalk.model import ArgumentGraph, Link, Proposition, validate_graph
+from prooftalk.typology import DialogueType
 from test_fuzz import dialogue_documents
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -91,6 +100,89 @@ def fresh(name: str, taken) -> str:
 
 def check_round_trip(doc) -> None:
     assert outputs(parse_document(serialize(doc))) == outputs(doc)
+
+
+def renamer(rng):
+    """A function that gives each name it is passed a fresh identifier,
+    drawn at random, and the renaming it has made so far."""
+    new: dict[str, str] = {}
+    # One draw: many would trip hypothesis's check on large examples.
+    draw = random.Random(rng.getrandbits(32)).randrange
+
+    def rename(name):
+        if name is not None and name not in new:
+            while (drawn := f"v{draw(10 ** 6)}") in new.values():
+                pass
+            new[name] = drawn
+        return new.get(name)
+    return rename, new
+
+
+def renamed_document(doc, rename) -> Document:
+    """The document with every proposition id, participant id and block
+    name passed through `rename`; a `declare_shift` keeps its type."""
+    graph = doc.graph
+    return Document(
+        ArgumentGraph(
+            {rename(p): Proposition(rename(p), prop.text)
+             for p, prop in graph.propositions.items()},
+            {rename(a): arg._replace(
+                id=rename(a), data=tuple(map(rename, arg.data)),
+                warrant=rename(arg.warrant), claim=rename(arg.claim),
+                backing=rename(arg.backing),
+                rebuttals=tuple(map(rename, arg.rebuttals)))
+             for a, arg in graph.arguments.items()},
+            tuple(Link(rename(link.source), rename(link.target), link.role)
+                  for link in graph.links)),
+        {rename(d): decl._replace(
+            name=rename(d), crucial=rename(decl.crucial),
+            settlement=rename(decl.settlement),
+            participants=tuple(p._replace(id=rename(p.id))
+                               for p in decl.participants),
+            moves=tuple(m._replace(speaker=rename(m.speaker), subject=(
+                m.subject if isinstance(m.subject, DialogueType)
+                else rename(m.subject))) for m in decl.moves))
+         for d, decl in doc.dialogues.items()},
+        {rename(p): ProofDecl(rename(p), tuple(map(rename, proof.dialogues)))
+         for p, proof in doc.proofs.items()})
+
+
+def renamed_outputs(outs, new: dict[str, str]):
+    """The outputs with each name renamed, where it stands alone and where
+    a reason or message quotes it, and each list of named items re-sorted
+    by the new names."""
+    report, classes, diagnostics = outs
+
+    def quoted(text):
+        return re.sub(r"'([^']*)'", lambda m: f"'{new.get(m[1], m[1])}'", text)
+
+    entries = []
+    for e in report["dialogues"]:
+        e = {**e, "dialogue_id": new[e["dialogue_id"]]}
+        if "error" in e:
+            e["error"] = quoted(e["error"])
+        else:
+            e["goal"] = {**e["goal"], "reason": quoted(e["goal"]["reason"])}
+            e["stores"] = {new[owner]: sorted([new[p], pol] for p, pol in rows)
+                           for owner, rows in e["stores"].items()}
+            e["shifts"] = [{**s, "reason": quoted(s["reason"])} for s in e["shifts"]]
+        entries.append(e)
+    proofs = [{**p, "proof_id": new[p["proof_id"]],
+               "diagnostics": list(map(quoted, p["diagnostics"]))}
+              for p in report["proofs"]]
+    # `validate_graph` checks arguments by name, then graph-wide rules.
+    diagnostics = sorted(
+        (d._replace(message=quoted(d.message), argument=new.get(d.argument))
+         for d in diagnostics), key=lambda d: (d.argument is None, d.argument or ""))
+    return ({"dialogues": sorted(entries, key=itemgetter("dialogue_id")),
+             "proofs": sorted(proofs, key=itemgetter("proof_id"))},
+            {new[name]: entry for name, entry in classes.items()}, diagnostics)
+
+
+def check_renaming(doc, rng) -> None:
+    rename, new = renamer(rng)
+    renamed = renamed_document(doc, rename)
+    assert outputs(renamed) == renamed_outputs(outputs(doc), new)
 
 
 def check_block_order(doc, rng) -> None:
@@ -176,12 +268,25 @@ def check_local_failure(doc, rng) -> None:
     assert kept == others(whole)[1]
 
 
+# Two challenges left open at the close, on q and then on p: the goal
+# reason names the earlier one.  The drafts never hold two, so without it
+# the renaming law would not see a reason that depends on the order of the
+# names; with `random.Random(0)`, q's new name sorts before p's.
+TWO_OPEN_CHALLENGES = (
+    'prop p: "P"\nprop q: "Q"\ndialogue "d" {\ntype: persuasion\n'
+    'participants: x, y\nstance x p: true\nstance y p: false\n'
+    'move 1 y assert q\nmove 2 x challenge q\nmove 3 y challenge p\n'
+    '}\nproof "pr" {\ndialogues: d\n}\n')
+
+
 @settings(max_examples=150, deadline=None)
+@example(TWO_OPEN_CHALLENGES, random.Random(0))
 @given(dialogue_documents, st.randoms(use_true_random=False))
 def test_laws_hold_on_fuzzed_dialogues(text, rng):
     doc = parsed(text)
     assume(doc is not None)
     check_round_trip(doc)
+    check_renaming(doc, rng)
     check_block_order(doc, rng)
     check_fresh_dialogue(doc, rng)
     check_fresh_proof(doc, rng)
@@ -191,6 +296,13 @@ def test_laws_hold_on_fuzzed_dialogues(text, rng):
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_round_trip(name):
     check_round_trip(parse_document(source(name)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_renaming(name, rng):
+    check_renaming(parse_document(source(name)), rng)
 
 
 @settings(max_examples=4, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_fuzz import documents as fragment_documents
 from prooftalk import markup
-from prooftalk.analysis import analyze_document
+from prooftalk.analysis import analyze
 from prooftalk.cli import fixture_paths
 from prooftalk.engine import Move, MoveKind, Participant, Role
 from prooftalk.markup import (
@@ -19,6 +19,7 @@ from prooftalk.markup import (
     ProofDecl,
     SourceSpan,
     _line_starts,
+    _quote,
     _span,
     parse_document,
     serialize,
@@ -121,6 +122,12 @@ class TestTokenize:
         monkeypatch.setattr(markup, "SourceSpan", counting_span)
         doc = parse_document(path.read_text(encoding="utf-8"))
         assert len(built) == len(doc.argument_spans)
+
+
+# A dialogue under a name, and a proof that lists the dialogues given.
+LISTED = ('prop p: "P"\ndialogue {} {{\n  type: inquiry\n  participants: x, y\n'
+          '  stance x p: unknown\n  stance y p: unknown\n}}\n'
+          'proof "pr" {{\n  dialogues: {}\n}}\n')
 
 
 class TestParseDocument:
@@ -489,6 +496,21 @@ class TestParseDocument:
         assert err.message == ("expected declared dialogue name, found proof "
                                "(proof 'pr' references unknown dialogue 'd')")
 
+    @pytest.mark.parametrize("name, bare", [
+        ("move", ["expected dialogue name, found move"]),
+        ("two words", ["expected declared dialogue name, found proof "
+                       "(proof 'pr' references unknown dialogue 'two')",
+                       "expected '}', found words"])])
+    def test_proof_lists_a_dialogue_by_its_quoted_name(self, name, bare):
+        # A keyword, or a name with a blank, is no identifier: only quoted
+        # does the list take it.
+        quoted = _quote(name)
+        doc = parse_document(LISTED.format(quoted, quoted))
+        assert doc.proofs["pr"] == ProofDecl("pr", (name,))
+        with pytest.raises(MarkupError) as exc:
+            parse_document(LISTED.format(quoted, name))
+        assert [e.message for e in exc.value.errors] == bare
+
 
 class TestStatements:
     """Whole one-line statements are read with one match each, so the
@@ -617,6 +639,25 @@ class TestSerialize:
             again = parse_document(serialize(doc))
             assert again == doc, name
 
+    def test_a_proof_listing_a_quoted_name_round_trips(self):
+        doc = parse_document(LISTED.format('"two words"', '"two words"'))
+        assert serialize(doc).endswith('  dialogues: "two words"\n}\n')
+        assert parse_document(serialize(doc)) == doc
+
+    def test_a_listed_name_is_bare_only_when_it_is_one_identifier(self):
+        names = ("d", "move", "two words", "", "x#", " d", "\u00b2", 'say "hi"')
+        pair = (Participant("x", Role.PROVER, Stance.UNKNOWN),
+                Participant("y", Role.INTERLOCUTOR, Stance.UNKNOWN))
+        built = Document(
+            graph=ArgumentGraph(propositions={"p": Proposition("p", "P")}),
+            dialogues={name: DialogueDecl(name, DialogueType.INQUIRY, pair, "p",
+                                          None, ()) for name in names},
+            proofs={"pr": ProofDecl("pr", names)})
+        text = serialize(built)
+        assert text.endswith('  dialogues: d, "move", "two words", "", "x#", '
+                             '" d", "\u00b2", "say \\"hi\\""\n}\n')
+        assert parse_document(text) == built
+
     def test_canonical_slot_order(self):
         doc = parse_document(
             'argument "a" { claim c: "C" rebuttal r: "R" data d: "D"\n'
@@ -734,5 +775,5 @@ class TestStatementBoundary:
     @given(st.one_of(st.sampled_from(FIXTURE_TEXTS).map(parse_document),
                      documents()))
     def test_analysis_survives_a_round_trip(self, doc):
-        assert analyze_document(parse_document(serialize(doc))) == \
-            analyze_document(doc)
+        assert analyze(parse_document(serialize(doc))).report() == \
+            analyze(doc).report()
